@@ -606,7 +606,9 @@ func (v *VM) Run(iseq *compile.ISeq) (*RunResult, error) {
 	return v.finishRun(), nil
 }
 
-// finishRun aggregates statistics.
+// finishRun aggregates statistics. The result carries a copy of the
+// statistics, not a pointer into the VM, so a caller that keeps only the
+// Stats does not keep the whole simulated machine reachable.
 func (v *VM) finishRun() *RunResult {
 	s := &v.stats
 	s.GCs = v.Heap.Stats.GCs
@@ -652,10 +654,11 @@ func (v *VM) finishRun() *RunResult {
 	}
 	s.FaultCounts = v.Faults.Counts()
 	s.Degradations = v.Watchdog.Counts()
+	st := *s
 	return &RunResult{
 		Cycles: v.Engine.Now(),
 		Output: v.output.String(),
-		Stats:  s,
+		Stats:  &st,
 	}
 }
 

@@ -612,3 +612,22 @@ puts a.count
 `
 	expectOut(t, ModeGIL, src, "1,2,3,4,5\n3,2,4,1,5\n1\n5\n4,2\n6\n5\n")
 }
+
+// TestRunResultStatsDetached: the Stats of a RunResult is a copy, not a
+// pointer into the VM, so holding the result does not pin the machine and
+// later changes to the VM's counters do not show through.
+func TestRunResultStatsDetached(t *testing.T) {
+	res, v := runSrc(t, ModeHTM, `x = 0
+while x < 100
+  x += 1
+end
+puts x`)
+	if res.Stats == &v.stats {
+		t.Fatal("RunResult.Stats aliases the VM's statistics")
+	}
+	yields := res.Stats.Yields
+	v.stats.Yields += 7
+	if res.Stats.Yields != yields {
+		t.Fatalf("Yields changed from %d to %d after the run", yields, res.Stats.Yields)
+	}
+}
