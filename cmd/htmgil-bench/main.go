@@ -13,7 +13,7 @@
 //
 // -list prints the experiment names: micro fig5 fig6a fig6b fig7 fig8
 // fig9 aborts overhead ablation policy hybrid chaos serving resilience
-// explore all.
+// datastore explore all.
 // -quick uses scaled-down
 // problem sizes and fewer thread counts; without it the full
 // (paper-shaped) sweep runs, which takes tens of minutes on one host

@@ -3,10 +3,13 @@
 //	htmgil -mode htm -machine zec12 script.rb
 //	htmgil -mode gil -e 'puts 1 + 2'
 //	htmgil -mode htm -policy backoff script.rb
+//	htmgil -mode htm -policy fixed-16 script.rb
 //
 // -policy selects the contention-management policy driving lock elision
 // (paper-dynamic, fixed-N, backoff, lazy-subscription, occ-adaptive);
-// "-policy list" prints them with descriptions.
+// "-policy list" prints them with descriptions. A fixed transaction length
+// is "-policy fixed-N": the paper's HTM-1/16/256 are fixed-1, fixed-16 and
+// fixed-256, and any N >= 1 is accepted.
 //
 // After the program finishes it can print the execution statistics the
 // paper's evaluation is built from (-stats), and -trace out.jsonl streams
@@ -38,7 +41,6 @@ func main() {
 	mode := flag.String("mode", "htm", "execution mode: gil, htm, fgl, ideal")
 	machine := flag.String("machine", "zec12", "machine profile: zec12, xeon")
 	expr := flag.String("e", "", "program text (instead of a file)")
-	txlen := flag.Int("txlen", 0, "fixed transaction length (0 = dynamic adjustment)")
 	policyName := flag.String("policy", "", "contention-management policy (\"\" = paper default, \"list\" = show choices)")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	dump := flag.Bool("dump", false, "disassemble the program instead of running it")
@@ -102,7 +104,6 @@ func main() {
 	}
 
 	opt := htmgil.DefaultOptions(prof, m)
-	opt.TxLength = int32(*txlen)
 	opt.Policy = *policyName
 	opt.Shards = *shards
 	opt.Out = os.Stdout

@@ -7,9 +7,9 @@
 // Report per executed configuration point (WriteReports) and, when
 // TraceSummary is on, attaches a trace aggregator to every VM run so the
 // per-point digests can attribute aborts to yield points and regions and
-// show the dynamic length-adjustment timeline (WriteTraceSummaries). The
-// package-level Fig*/Table functions are thin wrappers over a fresh Session
-// for callers that only want the plain-text tables.
+// show the dynamic length-adjustment timeline (WriteTraceSummaries).
+// Session.Run is the one entry point: it runs an experiment of the registry
+// by name (Experiments lists them).
 //
 // Every configuration point is an independent, fully deterministic
 // single-threaded simulation, so each experiment first enumerates its points
@@ -27,18 +27,16 @@ import (
 	"htmgil/internal/htm"
 	"htmgil/internal/npb"
 	"htmgil/internal/simmem"
-	"htmgil/internal/trace"
 	"htmgil/internal/vm"
+	"htmgil/internal/webrick"
 )
 
 // Config names one interpreter configuration of Figure 5/7.
 type Config struct {
-	Name     string
-	Mode     vm.Mode
-	TxLength int32
+	Name string
+	Mode vm.Mode
 	// Policy selects a contention-management policy by registry name
-	// (internal/policy); empty keeps the historical TxLength semantics,
-	// so the paper's five configurations are unaffected.
+	// (internal/policy); empty selects paper-dynamic.
 	Policy string
 }
 
@@ -46,11 +44,61 @@ type Config struct {
 func Configs() []Config {
 	return []Config{
 		{Name: "GIL", Mode: vm.ModeGIL},
-		{Name: "HTM-1", Mode: vm.ModeHTM, TxLength: 1},
-		{Name: "HTM-16", Mode: vm.ModeHTM, TxLength: 16},
-		{Name: "HTM-256", Mode: vm.ModeHTM, TxLength: 256},
+		{Name: "HTM-1", Mode: vm.ModeHTM, Policy: "fixed-1"},
+		{Name: "HTM-16", Mode: vm.ModeHTM, Policy: "fixed-16"},
+		{Name: "HTM-256", Mode: vm.ModeHTM, Policy: "fixed-256"},
 		{Name: "HTM-dynamic", Mode: vm.ModeHTM},
 	}
+}
+
+// options returns the machine's default VM options under the configuration.
+func (c Config) options(prof *htm.Profile) vm.Options {
+	opt := vm.DefaultOptions(prof, c.Mode)
+	opt.Policy = c.Policy
+	return opt
+}
+
+// names returns the configurations' names, the columns of a grid.
+func names(cfgs []Config) []string {
+	out := make([]string, len(cfgs))
+	for i, c := range cfgs {
+		out[i] = c.Name
+	}
+	return out
+}
+
+// kernelNames returns the kernels' names, the columns of a grid.
+func kernelNames(bs []npb.Bench) []string {
+	out := make([]string, len(bs))
+	for i, b := range bs {
+		out[i] = string(b)
+	}
+	return out
+}
+
+// shares renders each key's share of the counts' total, sorted by key, as
+// " key=N%" fields; nothing when the total is zero. Both abort-cause tables
+// (and the §5.6 conflict regions) render through it.
+func shares(w io.Writer, counts map[string]uint64) {
+	keys := make([]string, 0, len(counts))
+	var total uint64
+	for k, n := range counts {
+		keys = append(keys, k)
+		total += n
+	}
+	if total == 0 {
+		return
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, " %s=%.0f%%", k, 100*float64(counts[k])/float64(total))
+	}
+}
+
+// speedup renders a cycle ratio against a baseline point: how many times
+// faster than base r ran the same work.
+func speedup(format string, base, r *point) string {
+	return fmt.Sprintf(format, float64(base.Cycles)/float64(r.Cycles))
 }
 
 // threadsFor returns the paper's thread counts for a machine.
@@ -83,8 +131,6 @@ type Session struct {
 	// Reports carry abort-PC attribution and length-adjustment timelines
 	// (and WriteTraceSummaries has something to print).
 	TraceSummary bool
-	// TopN bounds the abort-PC rankings kept per report (default 5).
-	TopN int
 	// Parallel is the number of workers executing configuration points;
 	// 0 selects runtime.GOMAXPROCS(0) and 1 forces sequential execution.
 	// Whatever the value, tables and Reports come out in the same order
@@ -95,53 +141,65 @@ type Session struct {
 
 // NewSession returns a Session writing plain-text tables to w.
 func NewSession(w io.Writer, quick bool) *Session {
-	return &Session{W: w, Quick: quick, TopN: 5}
+	return &Session{W: w, Quick: quick}
 }
 
-func (s *Session) topN() int {
-	if s.TopN > 0 {
-		return s.TopN
-	}
-	return 5
+// experiments is the registry Run dispatches on, in the order "all" runs
+// them.
+var experiments = []struct {
+	name  string
+	build func(*Session, *plan)
+}{
+	{"micro", (*Session).buildMicro}, {"fig5", (*Session).buildFig5}, {"fig6a", (*Session).buildFig6a},
+	{"fig6b", (*Session).buildFig6b}, {"fig7", (*Session).buildFig7}, {"fig8", (*Session).buildFig8},
+	{"fig9", (*Session).buildFig9}, {"aborts", (*Session).buildAborts}, {"overhead", (*Session).buildOverhead},
+	{"ablation", (*Session).buildAblation}, {"policy", (*Session).buildPolicy}, {"hybrid", (*Session).buildHybrid},
+	{"chaos", (*Session).buildChaos}, {"serving", (*Session).buildServing}, {"resilience", (*Session).buildResilience},
+	{"datastore", (*Session).buildDatastore}, {"explore", (*Session).buildExplore},
 }
 
-// attach creates the per-run aggregator and recorder when TraceSummary is
-// on; both are nil otherwise, keeping the instrumented runtime on its
-// nil-check fast path.
-func (s *Session) attach() (*trace.Aggregator, *trace.Recorder) {
-	if !s.TraceSummary {
-		return nil, nil
+// Experiments returns every experiment name accepted by Run, "all" last.
+func Experiments() []string {
+	out := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		out = append(out, e.name)
 	}
-	agg := trace.NewAggregator()
-	return agg, trace.NewRecorder(agg)
+	return append(out, "all")
+}
+
+// Run runs one experiment by name. "all" runs every experiment in one plan,
+// so the worker pool spans experiment boundaries and the tail of one
+// experiment overlaps the head of the next.
+func (s *Session) Run(name string) error {
+	p, found := s.newPlan(), false
+	for _, e := range experiments {
+		if name == "all" || e.name == name {
+			e.build(s, p)
+			found = true
+		}
+	}
+	if !found {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(Experiments(), " "))
+	}
+	return p.flush()
 }
 
 // buildFig5 enumerates Figure 5: NPB throughput against threads for the five
 // configurations on both machines, normalized to 1-thread GIL.
 func (s *Session) buildFig5(p *plan) {
 	quick := s.Quick
+	cfgs := Configs()
 	for _, prof := range []*htm.Profile{htm.ZEC12(), htm.XeonE3()} {
 		for _, bench := range npb.Kernels {
 			p.printf("\n# Figure 5 — %s on %s (throughput, 1 = 1-thread GIL)\n", bench, prof.Name)
 			base := p.kernel(fmt.Sprintf("fig5 baseline %s", bench),
-				"fig5", bench, prof, Configs()[0], 1, classFor(quick), false)
-			p.printf("%-12s", "threads")
-			for _, cfg := range Configs() {
-				p.printf("%14s", cfg.Name)
-			}
-			p.printf("\n")
-			for _, th := range threadsFor(prof, quick) {
-				p.printf("%-12d", th)
-				for _, cfg := range Configs() {
-					r := p.kernel(fmt.Sprintf("fig5 %s/%s/%d", bench, cfg.Name, th),
-						"fig5", bench, prof, cfg, th, classFor(quick), true)
-					p.cell(func(w io.Writer) error {
-						_, err := fmt.Fprintf(w, "%14.2f", float64(base.res.Cycles)/float64(r.res.Cycles))
-						return err
-					})
-				}
-				p.printf("\n")
-			}
+				"fig5", cfgs[0].Name, bench, cfgs[0].options(prof), 1, classFor(quick), false)
+			p.grid("threads", 12, threadsFor(prof, quick), names(cfgs), 14,
+				func(th, j int) *point {
+					return p.kernel(fmt.Sprintf("fig5 %s/%s/%d", bench, cfgs[j].Name, th),
+						"fig5", cfgs[j].Name, bench, cfgs[j].options(prof), th, classFor(quick), false)
+				},
+				func(_ int, r *point) string { return speedup("%14.2f", base, r) })
 		}
 	}
 }
@@ -200,25 +258,15 @@ func (s *Session) buildFig6b(p *plan) {
 	if quick {
 		class = npb.ClassS
 	}
+	cfgs := Configs()
 	p.printf("\n# Figure 6b — BT class W on %s (throughput, 1 = 1-thread GIL)\n", prof.Name)
-	base := p.kernel("fig6b baseline", "fig6b", npb.BT, prof, Configs()[0], 1, class, false)
-	p.printf("%-12s", "threads")
-	for _, cfg := range Configs() {
-		p.printf("%14s", cfg.Name)
-	}
-	p.printf("\n")
-	for _, th := range threadsFor(prof, quick) {
-		p.printf("%-12d", th)
-		for _, cfg := range Configs() {
-			r := p.kernel(fmt.Sprintf("fig6b %s/%d", cfg.Name, th),
-				"fig6b", npb.BT, prof, cfg, th, class, false)
-			p.cell(func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "%14.2f", float64(base.res.Cycles)/float64(r.res.Cycles))
-				return err
-			})
-		}
-		p.printf("\n")
-	}
+	base := p.kernel("fig6b baseline", "fig6b", cfgs[0].Name, npb.BT, cfgs[0].options(prof), 1, class, false)
+	p.grid("threads", 12, threadsFor(prof, quick), names(cfgs), 14,
+		func(th, j int) *point {
+			return p.kernel(fmt.Sprintf("fig6b %s/%d", cfgs[j].Name, th),
+				"fig6b", cfgs[j].Name, npb.BT, cfgs[j].options(prof), th, class, false)
+		},
+		func(_ int, r *point) string { return speedup("%14.2f", base, r) })
 }
 
 // buildFig7 enumerates Figure 7: WEBrick on both machines and Rails on Xeon,
@@ -243,35 +291,31 @@ func (s *Session) buildFig7(p *plan) {
 		{"webrick", htm.XeonE3(), false},
 		{"rails", htm.XeonE3(), false},
 	}
+	cfgs := Configs()
+	run := func(label string, a app, cfg Config, clients int) *point {
+		return p.server(label, "fig7", a.name, cfg.Name, webrick.Config{Prof: a.prof, Mode: cfg.Mode,
+			Policy: cfg.Policy, Clients: clients, Requests: requests, ZOSMalloc: a.zos}, false)
+	}
 	for _, a := range apps {
 		p.printf("\n# Figure 7 — %s on %s (throughput, 1 = 1-client GIL; rightmost: HTM-dynamic abort%%)\n", a.name, a.prof.Name)
-		base := p.server(fmt.Sprintf("fig7 %s baseline", a.name),
-			"fig7", a.name, a.prof, Configs()[0], 1, requests, a.zos)
-		p.printf("%-10s", "clients")
-		for _, cfg := range Configs() {
-			p.printf("%14s", cfg.Name)
-		}
-		p.printf("%14s\n", "abort%")
-		for _, cl := range clientsList {
-			p.printf("%-10d", cl)
-			var dyn *serverRun
-			for _, cfg := range Configs() {
-				r := p.server(fmt.Sprintf("fig7 %s/%s/%d", a.name, cfg.Name, cl),
-					"fig7", a.name, a.prof, cfg, cl, requests, a.zos)
-				if cfg.Name == "HTM-dynamic" {
-					dyn = r
+		base := run(fmt.Sprintf("fig7 %s baseline", a.name), a, cfgs[0], 1)
+		// The rightmost column repeats the row's last point: HTM-dynamic.
+		var dyn *point
+		p.grid("clients", 10, clientsList, append(names(cfgs), "abort%"), 14,
+			func(cl, j int) *point {
+				if j == len(cfgs) {
+					return dyn
 				}
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%14.2f", r.tp/base.tp)
-					return err
-				})
-			}
-			last := dyn
-			p.cell(func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "%14.1f\n", last.ab*100)
-				return err
+				r := run(fmt.Sprintf("fig7 %s/%s/%d", a.name, cfgs[j].Name, cl), a, cfgs[j], cl)
+				dyn = r
+				return r
+			},
+			func(j int, r *point) string {
+				if j == len(cfgs) {
+					return fmt.Sprintf("%14.1f", r.AbortRatio*100)
+				}
+				return fmt.Sprintf("%14.2f", r.Throughput/base.Throughput)
 			})
-		}
 	}
 }
 
@@ -283,23 +327,13 @@ func (s *Session) buildFig8(p *plan) {
 	dyn := Configs()[4]
 	for _, prof := range []*htm.Profile{htm.ZEC12(), htm.XeonE3()} {
 		p.printf("\n# Figure 8 — HTM-dynamic abort ratios (%%) on %s\n", prof.Name)
-		p.printf("%-10s", "threads")
-		for _, b := range npb.Kernels {
-			p.printf("%8s", b)
-		}
-		p.printf("\n")
-		for _, th := range threadsFor(prof, quick) {
-			p.printf("%-10d", th)
-			for _, b := range npb.Kernels {
-				r := p.kernel(fmt.Sprintf("fig8 %s/%d", b, th),
-					"fig8", b, prof, dyn, th, class, false)
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%8.1f", r.res.Stats.AbortRatio()*100)
-					return err
-				})
-			}
-			p.printf("\n")
-		}
+		p.grid("threads", 10, threadsFor(prof, quick), kernelNames(npb.Kernels), 8,
+			func(th, j int) *point {
+				b := npb.Kernels[j]
+				return p.kernel(fmt.Sprintf("fig8 %s/%d", b, th),
+					"fig8", dyn.Name, b, dyn.options(prof), th, class, false)
+			},
+			func(_ int, r *point) string { return fmt.Sprintf("%8.1f", r.AbortRatio*100) })
 	}
 	// Cycle breakdown, 12 threads on zEC12.
 	p.printf("\n# Figure 8 — cycle breakdown, HTM-dynamic, 12 threads, zEC12 (%%)\n")
@@ -307,9 +341,9 @@ func (s *Session) buildFig8(p *plan) {
 		vm.CatBeginEnd, vm.CatTxSuccess, vm.CatTxAborted, vm.CatGILHeld, vm.CatGILWait)
 	for _, b := range npb.Kernels {
 		r := p.kernel(fmt.Sprintf("fig8 breakdown %s", b),
-			"fig8", b, htm.ZEC12(), dyn, 12, class, false)
+			"fig8", dyn.Name, b, dyn.options(htm.ZEC12()), 12, class, false)
 		p.cell(func(w io.Writer) error {
-			st := r.res.Stats
+			st := r.st
 			total := float64(st.Cycles[vm.CatBeginEnd] + st.Cycles[vm.CatTxSuccess] +
 				st.Cycles[vm.CatTxAborted] + st.Cycles[vm.CatGILHeld] + st.Cycles[vm.CatGILWait])
 			if total == 0 {
@@ -342,31 +376,19 @@ func (s *Session) buildFig9(p *plan) {
 	}
 	for _, rt := range runtimes {
 		p.printf("\n# Figure 9 — scalability of %s (1 = own 1-thread)\n", rt.name)
-		p.printf("%-10s", "threads")
-		for _, b := range npb.Kernels {
-			p.printf("%8s", b)
-		}
-		p.printf("\n")
-		bases := map[npb.Bench]*kernelRun{}
-		for _, b := range npb.Kernels {
-			opt := vm.DefaultOptions(rt.prof, rt.mode)
-			bases[b] = p.npb(fmt.Sprintf("fig9 %s/%s/1", rt.name, b),
+		opt := vm.DefaultOptions(rt.prof, rt.mode)
+		bases := make([]*point, len(npb.Kernels))
+		for j, b := range npb.Kernels {
+			bases[j] = p.kernel(fmt.Sprintf("fig9 %s/%s/1", rt.name, b),
 				"fig9", rt.name, b, opt, 1, class, false)
 		}
-		for _, th := range threadsFor(rt.prof, quick) {
-			p.printf("%-10d", th)
-			for _, b := range npb.Kernels {
-				opt := vm.DefaultOptions(rt.prof, rt.mode)
-				r := p.npb(fmt.Sprintf("fig9 %s/%s/%d", rt.name, b, th),
+		p.grid("threads", 10, threadsFor(rt.prof, quick), kernelNames(npb.Kernels), 8,
+			func(th, j int) *point {
+				b := npb.Kernels[j]
+				return p.kernel(fmt.Sprintf("fig9 %s/%s/%d", rt.name, b, th),
 					"fig9", rt.name, b, opt, th, class, false)
-				base := bases[b]
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%8.2f", float64(base.res.Cycles)/float64(r.res.Cycles))
-					return err
-				})
-			}
-			p.printf("\n")
-		}
+			},
+			func(j int, r *point) string { return speedup("%8.2f", bases[j], r) })
 	}
 }
 
@@ -380,19 +402,20 @@ func (s *Session) buildMicro(p *plan) {
 	p.printf("\n# Section 5.3 — micro-benchmark throughput over 1-thread GIL on %s\n", prof.Name)
 	p.printf("# (Figure 4 workloads run per thread, so throughput = threads * cycle ratio)\n")
 	p.printf("%-10s%10s%16s%16s\n", "bench", "threads", "GIL", "HTM-dynamic")
+	gil, dyn := Configs()[0], Configs()[4]
 	for _, b := range npb.Micro {
 		base := p.kernel(fmt.Sprintf("micro baseline %s", b),
-			"micro", b, prof, Configs()[0], 1, class, false)
+			"micro", gil.Name, b, gil.options(prof), 1, class, false)
 		for _, th := range []int{1, 12} {
 			g := p.kernel(fmt.Sprintf("micro %s/GIL/%d", b, th),
-				"micro", b, prof, Configs()[0], th, class, false)
+				"micro", gil.Name, b, gil.options(prof), th, class, false)
 			h := p.kernel(fmt.Sprintf("micro %s/HTM-dynamic/%d", b, th),
-				"micro", b, prof, Configs()[4], th, class, false)
+				"micro", dyn.Name, b, dyn.options(prof), th, class, false)
 			p.cell(func(w io.Writer) error {
 				work := float64(th)
 				_, err := fmt.Fprintf(w, "%-10s%10d%16.2f%16.2f\n", b, th,
-					work*float64(base.res.Cycles)/float64(g.res.Cycles),
-					work*float64(base.res.Cycles)/float64(h.res.Cycles))
+					work*float64(base.Cycles)/float64(g.Cycles),
+					work*float64(base.Cycles)/float64(h.Cycles))
 				return err
 			})
 		}
@@ -408,39 +431,12 @@ func (s *Session) buildAborts(p *plan) {
 	p.printf("\n# Section 5.6 — abort causes and conflict regions, HTM-dynamic, 12 threads, zEC12\n")
 	for _, b := range npb.Kernels {
 		r := p.kernel(fmt.Sprintf("aborts %s", b),
-			"aborts", b, htm.ZEC12(), dyn, 12, class, false)
+			"aborts", dyn.Name, b, dyn.options(htm.ZEC12()), 12, class, false)
 		p.cell(func(w io.Writer) error {
-			st := r.res.Stats
 			fmt.Fprintf(w, "%-6s causes:", b)
-			var causes []string
-			for c := range st.AbortCauses {
-				causes = append(causes, c.String())
-			}
-			sort.Strings(causes)
-			total := uint64(0)
-			for _, n := range st.AbortCauses {
-				total += n
-			}
-			for _, cs := range causes {
-				for c, n := range st.AbortCauses {
-					if c.String() == cs && total > 0 {
-						fmt.Fprintf(w, " %s=%.0f%%", cs, 100*float64(n)/float64(total))
-					}
-				}
-			}
+			shares(w, r.AbortCauses)
 			fmt.Fprintf(w, " | conflict regions:")
-			var regions []string
-			ctotal := uint64(0)
-			for reg, n := range st.ConflictRegions {
-				regions = append(regions, reg)
-				ctotal += n
-			}
-			sort.Strings(regions)
-			for _, reg := range regions {
-				if ctotal > 0 {
-					fmt.Fprintf(w, " %s=%.0f%%", reg, 100*float64(st.ConflictRegions[reg])/float64(ctotal))
-				}
-			}
+			shares(w, r.ConflictRegions)
 			_, err := fmt.Fprintln(w)
 			return err
 		})
@@ -454,14 +450,15 @@ func (s *Session) buildOverhead(p *plan) {
 	class := classFor(quick)
 	p.printf("\n# Section 5.6 — single-thread overhead of HTM-dynamic vs GIL (zEC12)\n")
 	p.printf("%-8s%14s\n", "bench", "overhead%")
+	gil, dyn := Configs()[0], Configs()[4]
 	for _, b := range npb.Kernels {
 		g := p.kernel(fmt.Sprintf("overhead %s/GIL", b),
-			"overhead", b, htm.ZEC12(), Configs()[0], 1, class, false)
+			"overhead", gil.Name, b, gil.options(htm.ZEC12()), 1, class, false)
 		h := p.kernel(fmt.Sprintf("overhead %s/HTM-dynamic", b),
-			"overhead", b, htm.ZEC12(), Configs()[4], 1, class, false)
+			"overhead", dyn.Name, b, dyn.options(htm.ZEC12()), 1, class, false)
 		p.cell(func(w io.Writer) error {
 			_, err := fmt.Fprintf(w, "%-8s%14.1f\n", b,
-				100*(float64(h.res.Cycles)/float64(g.res.Cycles)-1))
+				100*(float64(h.Cycles)/float64(g.Cycles)-1))
 			return err
 		})
 	}
@@ -476,7 +473,7 @@ func (s *Session) buildAblation(p *plan) {
 	threads := 8
 	bench := npb.FT
 	baseOpt := vm.DefaultOptions(prof, vm.ModeGIL)
-	baseRun := p.npb("ablation baseline", "ablation", "GIL", bench, baseOpt, threads, class, false)
+	baseRun := p.kernel("ablation baseline", "ablation", "GIL", bench, baseOpt, threads, class, false)
 	p.printf("\n# Ablations — %s, %d threads, zEC12 (speedup over GIL at same threads)\n", bench, threads)
 	p.printf("%-38s%14s\n", "configuration", "speedup")
 	type variant struct {
@@ -500,139 +497,11 @@ func (s *Session) buildAblation(p *plan) {
 	for _, va := range variants {
 		opt := vm.DefaultOptions(prof, vm.ModeHTM)
 		va.mut(&opt)
-		r := p.npb(fmt.Sprintf("ablation %q", va.name),
+		r := p.kernel(fmt.Sprintf("ablation %q", va.name),
 			"ablation", va.name, bench, opt, threads, class, false)
 		p.cell(func(w io.Writer) error {
-			_, err := fmt.Fprintf(w, "%-38s%14.2f\n", va.name,
-				float64(baseRun.res.Cycles)/float64(r.res.Cycles))
+			_, err := fmt.Fprintf(w, "%-38s%s\n", va.name, speedup("%14.2f", baseRun, r))
 			return err
 		})
 	}
 }
-
-// Fig5 regenerates Figure 5 (see buildFig5).
-func (s *Session) Fig5() error { return s.runPlan(s.buildFig5) }
-
-// Fig6a regenerates Figure 6(a) (see buildFig6a).
-func (s *Session) Fig6a() error { return s.runPlan(s.buildFig6a) }
-
-// Fig6b regenerates Figure 6(b) (see buildFig6b).
-func (s *Session) Fig6b() error { return s.runPlan(s.buildFig6b) }
-
-// Fig7 regenerates Figure 7 (see buildFig7).
-func (s *Session) Fig7() error { return s.runPlan(s.buildFig7) }
-
-// Fig8 regenerates Figure 8 (see buildFig8).
-func (s *Session) Fig8() error { return s.runPlan(s.buildFig8) }
-
-// Fig9 regenerates Figure 9 (see buildFig9).
-func (s *Session) Fig9() error { return s.runPlan(s.buildFig9) }
-
-// MicroTable regenerates the Section 5.3 micro-benchmark table.
-func (s *Session) MicroTable() error { return s.runPlan(s.buildMicro) }
-
-// AbortsTable regenerates the Section 5.6 abort analyses.
-func (s *Session) AbortsTable() error { return s.runPlan(s.buildAborts) }
-
-// OverheadTable regenerates the Section 5.6 single-thread overhead table.
-func (s *Session) OverheadTable() error { return s.runPlan(s.buildOverhead) }
-
-// AblationTable regenerates the Section 4.2/4.4 ablations.
-func (s *Session) AblationTable() error { return s.runPlan(s.buildAblation) }
-
-// runPlan enumerates one experiment into a fresh plan and flushes it.
-func (s *Session) runPlan(build func(*plan)) error {
-	p := s.newPlan()
-	build(p)
-	return p.flush()
-}
-
-// All runs every experiment in one plan, so the worker pool spans experiment
-// boundaries and the tail of one experiment overlaps the head of the next.
-func (s *Session) All() error {
-	p := s.newPlan()
-	for _, st := range s.steps() {
-		st.build(p)
-	}
-	return p.flush()
-}
-
-func (s *Session) steps() []struct {
-	name  string
-	build func(*plan)
-} {
-	return []struct {
-		name  string
-		build func(*plan)
-	}{
-		{"micro", s.buildMicro}, {"fig5", s.buildFig5}, {"fig6a", s.buildFig6a}, {"fig6b", s.buildFig6b},
-		{"fig7", s.buildFig7}, {"fig8", s.buildFig8}, {"fig9", s.buildFig9},
-		{"aborts", s.buildAborts}, {"overhead", s.buildOverhead}, {"ablation", s.buildAblation},
-		{"policy", s.buildPolicy}, {"hybrid", s.buildHybrid}, {"chaos", s.buildChaos},
-		{"serving", s.buildServing}, {"resilience", s.buildResilience},
-		{"datastore", s.buildDatastore}, {"explore", s.buildExplore},
-	}
-}
-
-// Experiments returns every experiment name accepted by Run, "all" last.
-func Experiments() []string {
-	var s Session
-	steps := s.steps()
-	out := make([]string, 0, len(steps)+1)
-	for _, st := range steps {
-		out = append(out, st.name)
-	}
-	return append(out, "all")
-}
-
-// Run dispatches one experiment by id.
-func (s *Session) Run(name string) error {
-	if name == "all" {
-		return s.All()
-	}
-	for _, st := range s.steps() {
-		if st.name == name {
-			return s.runPlan(st.build)
-		}
-	}
-	return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(Experiments(), " "))
-}
-
-// Package-level wrappers retain the original one-shot API: each runs the
-// experiment in a fresh Session and discards the reports.
-
-// Fig5 regenerates Figure 5 (see Session.Fig5).
-func Fig5(w io.Writer, quick bool) error { return NewSession(w, quick).Fig5() }
-
-// Fig6a regenerates Figure 6(a) (see Session.Fig6a).
-func Fig6a(w io.Writer, quick bool) error { return NewSession(w, quick).Fig6a() }
-
-// Fig6b regenerates Figure 6(b) (see Session.Fig6b).
-func Fig6b(w io.Writer, quick bool) error { return NewSession(w, quick).Fig6b() }
-
-// Fig7 regenerates Figure 7 (see Session.Fig7).
-func Fig7(w io.Writer, quick bool) error { return NewSession(w, quick).Fig7() }
-
-// Fig8 regenerates Figure 8 (see Session.Fig8).
-func Fig8(w io.Writer, quick bool) error { return NewSession(w, quick).Fig8() }
-
-// Fig9 regenerates Figure 9 (see Session.Fig9).
-func Fig9(w io.Writer, quick bool) error { return NewSession(w, quick).Fig9() }
-
-// MicroTable regenerates the Section 5.3 table (see Session.MicroTable).
-func MicroTable(w io.Writer, quick bool) error { return NewSession(w, quick).MicroTable() }
-
-// AbortsTable regenerates the Section 5.6 analyses (see Session.AbortsTable).
-func AbortsTable(w io.Writer, quick bool) error { return NewSession(w, quick).AbortsTable() }
-
-// OverheadTable regenerates the Section 5.6 overhead table (see Session.OverheadTable).
-func OverheadTable(w io.Writer, quick bool) error { return NewSession(w, quick).OverheadTable() }
-
-// AblationTable regenerates the ablation table (see Session.AblationTable).
-func AblationTable(w io.Writer, quick bool) error { return NewSession(w, quick).AblationTable() }
-
-// All runs every experiment in a fresh Session.
-func All(w io.Writer, quick bool) error { return NewSession(w, quick).All() }
-
-// ByName dispatches one experiment by id in a fresh Session.
-func ByName(name string, w io.Writer, quick bool) error { return NewSession(w, quick).Run(name) }

@@ -18,14 +18,14 @@ func TestConfigsAreThePapersFive(t *testing.T) {
 			t.Fatalf("config %d = %q", i, cfgs[i].Name)
 		}
 	}
-	if cfgs[1].TxLength != 1 || cfgs[2].TxLength != 16 || cfgs[3].TxLength != 256 || cfgs[4].TxLength != 0 {
+	if cfgs[1].Policy != "fixed-1" || cfgs[2].Policy != "fixed-16" || cfgs[3].Policy != "fixed-256" || cfgs[4].Policy != "" {
 		t.Fatalf("lengths wrong: %+v", cfgs)
 	}
 }
 
 func TestFig6aShape(t *testing.T) {
 	var sb strings.Builder
-	if err := Fig6a(&sb, true); err != nil {
+	if err := NewSession(&sb, true).Run("fig6a"); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -53,11 +53,11 @@ func TestFig6aShape(t *testing.T) {
 }
 
 func TestByNameDispatch(t *testing.T) {
-	if err := ByName("nosuch", nil, true); err == nil {
+	if err := NewSession(nil, true).Run("nosuch"); err == nil {
 		t.Fatalf("unknown experiment accepted")
 	}
 	var sb strings.Builder
-	if err := ByName("fig6a", &sb, true); err != nil {
+	if err := NewSession(&sb, true).Run("fig6a"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Figure 6a") {

@@ -9,7 +9,6 @@ import (
 	"htmgil/internal/fault"
 	"htmgil/internal/htm"
 	"htmgil/internal/npb"
-	"htmgil/internal/trace"
 	"htmgil/internal/vm"
 	"htmgil/internal/webrick"
 )
@@ -25,30 +24,6 @@ import (
 // the fault and breaker events land in the Reports, which also carry the
 // canonical spec text and the effective fault-stream seed that reproduce the
 // run byte for byte.
-
-// chaosRun is the handle to one chaos point.
-type chaosRun struct {
-	tp      float64 // webrick: requests per virtual second; kernels: 0
-	cycles  int64
-	ab      float64
-	st      *vm.Stats
-	faults  uint64 // total injected faults, all channels
-	trips   uint64 // breaker opens
-	degr    uint64 // watchdog degradation events
-	recover *int64 // see timeToRecover
-}
-
-func (cr *chaosRun) fill(tp, ab float64, cycles int64, st *vm.Stats, spec *fault.Spec) {
-	cr.tp, cr.ab, cr.cycles, cr.st = tp, ab, cycles, st
-	for _, n := range st.FaultCounts {
-		cr.faults += n
-	}
-	for _, n := range st.Degradations {
-		cr.degr += n
-	}
-	cr.trips = st.BreakerOpens
-	cr.recover = timeToRecover(st, spec)
-}
 
 // timeToRecover measures graceful degradation: the cycles between the
 // spec's fault horizon clearing (until=) and the breaker's final settle
@@ -71,98 +46,45 @@ func timeToRecover(st *vm.Stats, spec *fault.Spec) *int64 {
 	return &v
 }
 
-// chaosSeed is the effective fault-stream seed of a chaos point: the spec's
-// own override when set, else the run seed the workload harnesses use
-// (vm.DefaultOptions).
-func chaosSeed(spec *fault.Spec, prof *htm.Profile) int64 {
+// faultSeed is the effective fault-stream seed of a run under spec: the
+// spec's own override when set, else the run seed the workload harnesses
+// use (vm.DefaultOptions).
+func faultSeed(spec *fault.Spec, prof *htm.Profile) int64 {
 	if spec.Seed != 0 {
 		return spec.Seed
 	}
 	return vm.DefaultOptions(prof, vm.ModeHTM).Seed
 }
 
-// chaosReport decorates the point's Report with the fault provenance.
-func (s *Session) chaosReport(prof *htm.Profile, workload, config string, threads, clients int,
-	cycles int64, tp float64, st *vm.Stats, agg *trace.Aggregator, spec *fault.Spec, cr *chaosRun) Report {
-	rep := newReport("chaos", prof.Name, workload, config, threads, clients, cycles, tp, st, agg, s.topN())
-	rep.FaultSpec = spec.String()
-	if rep.FaultSpec != "" {
-		rep.Seed = chaosSeed(spec, prof)
+// mustSpec parses one of the experiments' built-in fault specs. They are
+// fixed when the package is compiled, so an error is a bug in the sweep.
+func mustSpec(text string) *fault.Spec {
+	spec, err := fault.ParseSpec(text)
+	if err != nil {
+		panic(err)
 	}
-	rep.RecoverCycles = cr.recover
-	return rep
-}
-
-// chaosServer enumerates one WEBrick point of the chaos experiment.
-func (p *plan) chaosServer(label string, prof *htm.Profile, ns fault.NamedSpec, clients, requests int, zos bool) *chaosRun {
-	cr := &chaosRun{}
-	pt := &point{label: label}
-	s := p.s
-	pt.exec = func() error {
-		spec, err := fault.ParseSpec(ns.Text)
-		if err != nil {
-			return err
-		}
-		agg := trace.NewAggregator()
-		r, err := webrick.Run(webrick.Config{Prof: prof, Mode: vm.ModeHTM,
-			Clients: clients, Requests: requests, ZOSMalloc: zos,
-			Trace: trace.NewRecorder(agg), Faults: spec, Breaker: true, Watchdog: true})
-		if err != nil {
-			return err
-		}
-		cr.fill(r.Throughput, r.AbortRatio, r.Cycles, r.Stats, spec)
-		pt.rep = s.chaosReport(prof, "webrick", ns.Name, 0, clients, r.Cycles, r.Throughput, r.Stats, agg, spec, cr)
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return cr
-}
-
-// chaosKernel enumerates one NPB point of the chaos experiment. The kernel
-// must still validate numerically: faults may slow the run down, never
-// corrupt it.
-func (p *plan) chaosKernel(label string, b npb.Bench, prof *htm.Profile, ns fault.NamedSpec, threads int, c npb.Class) *chaosRun {
-	cr := &chaosRun{}
-	pt := &point{label: label}
-	s := p.s
-	pt.exec = func() error {
-		spec, err := fault.ParseSpec(ns.Text)
-		if err != nil {
-			return err
-		}
-		agg := trace.NewAggregator()
-		opt := vm.DefaultOptions(prof, vm.ModeHTM)
-		opt.Trace = trace.NewRecorder(agg)
-		opt.Faults = spec
-		opt.Breaker = true
-		opt.Watchdog = true
-		r, err := npb.Run(b, opt, threads, npb.ParamsFor(b, c))
-		if err != nil {
-			return err
-		}
-		if !r.Valid {
-			return errValidation
-		}
-		cr.fill(0, r.Stats.AbortRatio(), r.Cycles, r.Stats, spec)
-		pt.rep = s.chaosReport(prof, string(b), ns.Name, threads, 0, r.Cycles, 0, r.Stats, agg, spec, cr)
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return cr
+	return spec
 }
 
 // chaosRow renders one profile row; tput and rel are computed by the caller
 // (server rows use request throughput, kernel rows use cycle ratios).
-func chaosRow(w io.Writer, name string, tput, rel float64, r *chaosRun) error {
+func chaosRow(w io.Writer, name string, tput, rel float64, r *point) error {
 	rec := "-"
-	if r.recover != nil {
-		rec = strconv.FormatInt(*r.recover, 10)
+	if r.RecoverCycles != nil {
+		rec = strconv.FormatInt(*r.RecoverCycles, 10)
 	}
 	_, err := fmt.Fprintf(w, "%-14s%12.1f%8.2f%8.1f%%%11d%8d%7d%7d%10s\n",
-		name, tput, rel, r.ab*100, r.st.GILFallbacks, r.faults, r.trips, r.degr, rec)
+		name, tput, rel, r.AbortRatio*100, r.Fallbacks, sum(r.FaultCounts), r.BreakerOpens, sum(r.Degradations), rec)
 	return err
+}
+
+// sum totals a counter map.
+func sum(counts map[string]uint64) uint64 {
+	var t uint64
+	for _, n := range counts {
+		t += n
+	}
+	return t
 }
 
 const chaosHeader = "%-14s%12s%8s%9s%11s%8s%7s%7s%10s\n"
@@ -194,15 +116,17 @@ func (s *Session) buildChaos(p *plan) {
 	p.printf("\n# Chaos — webrick on %s, %d clients, %d requests (rel = tput/clean)\n",
 		srvProf.Name, clients, requests)
 	p.printf(chaosHeader, "profile", "tput", "rel", "abort%", "fallbacks", "faults", "trips", "degr", "recover")
-	var base *chaosRun
+	var base *point
 	for i, ns := range profiles {
-		r := p.chaosServer(fmt.Sprintf("chaos webrick/%s", ns.Name), srvProf, ns, clients, requests, false)
+		r := p.server(fmt.Sprintf("chaos webrick/%s", ns.Name), "chaos", "webrick", ns.Name,
+			webrick.Config{Prof: srvProf, Mode: vm.ModeHTM, Clients: clients, Requests: requests,
+				Faults: mustSpec(ns.Text), Breaker: true, Watchdog: true}, true)
 		if i == 0 {
 			base = r
 		}
-		name, b := ns.Name, base
+		b := base
 		p.cell(func(w io.Writer) error {
-			return chaosRow(w, name, r.tp, r.tp/b.tp, r)
+			return chaosRow(w, ns.Name, r.Throughput, r.Throughput/b.Throughput, r)
 		})
 	}
 
@@ -214,19 +138,15 @@ func (s *Session) buildChaos(p *plan) {
 	p.printf(chaosHeader, "profile", "Mcycles", "rel", "abort%", "fallbacks", "faults", "trips", "degr", "recover")
 	base = nil
 	for i, ns := range profiles {
-		r := p.chaosKernel(fmt.Sprintf("chaos %s/%s", npb.CG, ns.Name), npb.CG, prof, ns, threads, class)
+		opt := vm.DefaultOptions(prof, vm.ModeHTM)
+		opt.Faults, opt.Breaker, opt.Watchdog = mustSpec(ns.Text), true, true
+		r := p.kernel(fmt.Sprintf("chaos %s/%s", npb.CG, ns.Name), "chaos", ns.Name, npb.CG, opt, threads, class, true)
 		if i == 0 {
 			base = r
 		}
-		name, b := ns.Name, base
+		b := base
 		p.cell(func(w io.Writer) error {
-			return chaosRow(w, name, float64(r.cycles)/1e6, float64(b.cycles)/float64(r.cycles), r)
+			return chaosRow(w, ns.Name, float64(r.Cycles)/1e6, float64(b.Cycles)/float64(r.Cycles), r)
 		})
 	}
 }
-
-// ChaosTable regenerates the chaos experiment (see buildChaos).
-func (s *Session) ChaosTable() error { return s.runPlan(s.buildChaos) }
-
-// ChaosTable regenerates the chaos experiment in a fresh Session.
-func ChaosTable(w io.Writer, quick bool) error { return NewSession(w, quick).ChaosTable() }

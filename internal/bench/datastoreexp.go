@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"htmgil/internal/db"
 	"htmgil/internal/htm"
 	"htmgil/internal/keyspace"
 	"htmgil/internal/vm"
@@ -25,106 +23,33 @@ import (
 
 // datastoreConfig is one swept runtime+sharding combination.
 type datastoreConfig struct {
-	name   string
-	cfg    Config
+	Config
 	shards int
 }
 
 func datastoreConfigs() []datastoreConfig {
 	return []datastoreConfig{
-		{"paper-dynamic/s1", Config{Name: "paper-dynamic/s1", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 1},
-		{"paper-dynamic/s8", Config{Name: "paper-dynamic/s8", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 8},
-		{"occ-adaptive/s1", Config{Name: "occ-adaptive/s1", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, 1},
-		{"occ-adaptive/s8", Config{Name: "occ-adaptive/s8", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, 8},
-		{"fixed-1/s1", Config{Name: "fixed-1/s1", Mode: vm.ModeHTM, TxLength: 1}, 1},
+		{Config{Name: "paper-dynamic/s1", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 1},
+		{Config{Name: "paper-dynamic/s8", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 8},
+		{Config{Name: "occ-adaptive/s1", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, 1},
+		{Config{Name: "occ-adaptive/s8", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, 8},
+		{Config{Name: "fixed-1/s1", Mode: vm.ModeHTM, Policy: "fixed-1"}, 1},
 	}
-}
-
-// datastoreRun is the plan-side handle to one datastore point.
-type datastoreRun struct {
-	cycles int64
-	st     *vm.Stats
-	output string
-	tp     float64 // committed ops per virtual second
-}
-
-// datastore enumerates one workload run: build the driver, install the
-// store and the session natives, run the generated program.
-func (p *plan) datastore(label string, wcfg keyspace.Config, cfg Config, shards, threads int) *datastoreRun {
-	dr := &datastoreRun{}
-	pt := &point{label: label}
-	s := p.s
-	wcfg.Threads = threads
-	pt.exec = func() error {
-		drv, err := keyspace.NewDriver(wcfg)
-		if err != nil {
-			return err
-		}
-		agg, rec := s.attach()
-		prof := htm.DatastoreNode()
-		opt := vm.DefaultOptions(prof, cfg.Mode)
-		opt.TxLength = cfg.TxLength
-		opt.Policy = cfg.Policy
-		opt.Shards = shards
-		opt.Trace = rec
-		machine := vm.New(opt)
-		db.Install(machine)
-		drv.Install(machine)
-		iseq, err := machine.CompileSource(drv.Program(), "datastore-"+wcfg.Workload)
-		if err != nil {
-			return err
-		}
-		res, err := machine.Run(iseq)
-		if err != nil {
-			return err
-		}
-		dr.cycles = res.Cycles
-		dr.st = res.Stats
-		dr.output = res.Output
-		ops := float64(threads) * float64(wcfg.Ops)
-		dr.tp = ops * float64(vm.CyclesPerSecond) / float64(res.Cycles)
-		pt.rep = newReport("datastore", prof.Name, "ycsb-"+wcfg.Workload, cfg.Name,
-			threads, 0, res.Cycles, dr.tp, res.Stats, agg, s.topN())
-		pt.rep.Shards = shards
-		for _, n := range res.Stats.ShardFallbacks {
-			pt.rep.ShardFallbacks += n
-		}
-		pt.rep.CrossShardLeaks = res.Stats.CrossShardLeaks
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return dr
 }
 
 // datastoreCauses renders the abort-cause split that identifies the
 // capacity regime: what share of hardware aborts were footprint overflows
 // versus conflicts.
-func datastoreCauses(w io.Writer, name string, st *vm.Stats) error {
-	var total, capacity uint64
-	var causes []string
-	for c, n := range st.AbortCauses {
-		total += n
-		cs := c.String()
-		if cs == "read-overflow" || cs == "write-overflow" {
-			capacity += n
-		}
-		causes = append(causes, cs)
-	}
-	sort.Strings(causes)
+func datastoreCauses(w io.Writer, name string, r *point) error {
 	fmt.Fprintf(w, "%-20s", name)
+	total := sum(r.AbortCauses)
 	if total == 0 {
 		_, err := fmt.Fprintf(w, " no aborts\n")
 		return err
 	}
+	capacity := r.AbortCauses["read-overflow"] + r.AbortCauses["write-overflow"]
 	fmt.Fprintf(w, " capacity=%3.0f%% |", 100*float64(capacity)/float64(total))
-	for _, cs := range causes {
-		for c, n := range st.AbortCauses {
-			if c.String() == cs {
-				fmt.Fprintf(w, " %s=%.0f%%", cs, 100*float64(n)/float64(total))
-			}
-		}
-	}
+	shares(w, r.AbortCauses)
 	_, err := fmt.Fprintln(w)
 	return err
 }
@@ -167,6 +92,10 @@ func (s *Session) buildDatastore(p *plan) {
 	quick := s.Quick
 	workloads, keys, ops, threadsList := datastoreGrid(quick)
 	cfgs := datastoreConfigs()
+	cols := make([]string, len(cfgs))
+	for j, dc := range cfgs {
+		cols[j] = dc.Name
+	}
 	attrTh := threadsList[0]
 	const seed = 20140215 // the paper's PPoPP publication month
 	for _, wl := range workloads {
@@ -175,43 +104,29 @@ func (s *Session) buildDatastore(p *plan) {
 			wl, keys, htm.DatastoreNode().Name)
 		base := p.datastore(fmt.Sprintf("datastore baseline %s", wl),
 			wcfg, Config{Name: "GIL", Mode: vm.ModeGIL}, 1, 1)
-		p.printf("%-10s", "threads")
-		for _, dc := range cfgs {
-			p.printf("%18s", dc.name)
-		}
-		p.printf("\n")
-		top := map[string]*datastoreRun{}
-		for _, th := range threadsList {
-			p.printf("%-10d", th)
-			for _, dc := range cfgs {
-				r := p.datastore(fmt.Sprintf("datastore %s/%s/%d", wl, dc.name, th),
-					wcfg, dc.cfg, dc.shards, th)
-				if th == attrTh {
-					top[dc.name] = r
-				}
-				baseR := base
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%18.2f", r.tp/baseR.tp)
-					return err
-				})
-			}
-			p.printf("\n")
+		m := p.grid("threads", 10, threadsList, cols, 18,
+			func(th, j int) *point {
+				dc := cfgs[j]
+				return p.datastore(fmt.Sprintf("datastore %s/%s/%d", wl, dc.Name, th), wcfg, dc.Config, dc.shards, th)
+			},
+			func(_ int, r *point) string { return fmt.Sprintf("%18.2f", r.Throughput/base.Throughput) })
+		top := map[string]*point{}
+		for j, dc := range cfgs {
+			top[dc.Name] = m[0][j]
 		}
 		p.printf("\n# Datastore per-tier attribution — YCSB-%s, %d threads\n", wl, attrTh)
 		hybridAttributionHeader(p)
 		for _, dc := range cfgs {
-			r := top[dc.name]
-			name := dc.name
+			r := top[dc.Name]
 			p.cell(func(w io.Writer) error {
-				return hybridAttribution(w, name, r.st)
+				return hybridAttribution(w, dc.Name, r.st)
 			})
 		}
 		p.printf("\n# Datastore abort causes — YCSB-%s, %d threads (capacity = footprint overflow)\n", wl, attrTh)
 		for _, dc := range cfgs {
-			r := top[dc.name]
-			name := dc.name
+			r := top[dc.Name]
 			p.cell(func(w io.Writer) error {
-				return datastoreCauses(w, name, r.st)
+				return datastoreCauses(w, dc.Name, r)
 			})
 		}
 		// Single-thread isolation rows: with one thread there are no
@@ -221,14 +136,14 @@ func (s *Session) buildDatastore(p *plan) {
 		// policy's longer windows batch statements until the write set
 		// bursts.
 		iso1 := p.datastore(fmt.Sprintf("datastore iso %s/fixed-1", wl),
-			wcfg, Config{Name: "fixed-1", Mode: vm.ModeHTM, TxLength: 1}, 1, 1)
+			wcfg, Config{Name: "fixed-1", Mode: vm.ModeHTM, Policy: "fixed-1"}, 1, 1)
 		isoP := p.datastore(fmt.Sprintf("datastore iso %s/paper", wl),
 			wcfg, Config{Name: "paper-dynamic", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 1, 1)
 		p.cell(func(w io.Writer) error {
-			return datastoreCauses(w, "solo fixed-1", iso1.st)
+			return datastoreCauses(w, "solo fixed-1", iso1)
 		})
 		p.cell(func(w io.Writer) error {
-			return datastoreCauses(w, "solo paper-dynamic", isoP.st)
+			return datastoreCauses(w, "solo paper-dynamic", isoP)
 		})
 		p.printf("\n# Datastore per-shard GIL occupancy — YCSB-%s, paper-dynamic/s8, %d threads\n", wl, attrTh)
 		sharded := top["paper-dynamic/s8"]
@@ -238,15 +153,9 @@ func (s *Session) buildDatastore(p *plan) {
 		p.cell(func(w io.Writer) error {
 			_, err := fmt.Fprintf(w, "# vs paper-dynamic/s1 at %d threads: occ-adaptive/s1 %.2fx, paper-dynamic/s8 %.2fx\n",
 				attrTh,
-				top["occ-adaptive/s1"].tp/top["paper-dynamic/s1"].tp,
-				top["paper-dynamic/s8"].tp/top["paper-dynamic/s1"].tp)
+				top["occ-adaptive/s1"].Throughput/top["paper-dynamic/s1"].Throughput,
+				top["paper-dynamic/s8"].Throughput/top["paper-dynamic/s1"].Throughput)
 			return err
 		})
 	}
 }
-
-// DatastoreTable regenerates the datastore experiment (see buildDatastore).
-func (s *Session) DatastoreTable() error { return s.runPlan(s.buildDatastore) }
-
-// DatastoreTable regenerates the datastore experiment in a fresh Session.
-func DatastoreTable(w io.Writer, quick bool) error { return NewSession(w, quick).DatastoreTable() }

@@ -6,58 +6,6 @@ import (
 	"testing"
 )
 
-// runDatastoreWith runs the quick datastore experiment on the given worker
-// count and returns every observable output: the plain-text tables, the
-// Reports JSON, the flat CSV, and the trace-summary digest.
-func runDatastoreWith(t *testing.T, parallel int) (table, reports, csvOut, digest string) {
-	t.Helper()
-	var tb strings.Builder
-	s := NewSession(&tb, true)
-	s.TraceSummary = true
-	s.Parallel = parallel
-	if err := s.DatastoreTable(); err != nil {
-		t.Fatal(err)
-	}
-	var rep, cs, dig strings.Builder
-	if err := s.WriteReports(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteReportsCSV(&cs); err != nil {
-		t.Fatal(err)
-	}
-	s.WriteTraceSummaries(&dig)
-	return tb.String(), rep.String(), cs.String(), dig.String()
-}
-
-// TestDatastoreGoldenDeterminism runs the datastore experiment twice
-// sequentially and once on eight workers, and requires the text tables,
-// Reports JSON, CSV, and trace digests to be byte-identical across all
-// three runs: millions of simulated memory accesses under racing policies
-// must never leak host nondeterminism into the outputs.
-func TestDatastoreGoldenDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three full quick datastore runs")
-	}
-	tA, rA, cA, dA := runDatastoreWith(t, 1)
-	tB, rB, cB, dB := runDatastoreWith(t, 1)
-	tP, rP, cP, dP := runDatastoreWith(t, 8)
-	if tA != tB {
-		t.Errorf("tables differ run to run:\n--- run1 ---\n%s\n--- run2 ---\n%s", tA, tB)
-	}
-	if tA != tP {
-		t.Errorf("tables differ between -parallel 1 and 8:\n--- seq ---\n%s\n--- par ---\n%s", tA, tP)
-	}
-	if rA != rB || rA != rP {
-		t.Error("reports JSON differs across runs")
-	}
-	if cA != cB || cA != cP {
-		t.Error("reports CSV differs across runs")
-	}
-	if dA != dB || dA != dP {
-		t.Error("trace digests differ across runs")
-	}
-}
-
 // TestDatastoreTableContent spot-checks the quick experiment's output
 // shape: every workload section renders, the sharded occupancy tables are
 // present, the CSV carries the shard columns, and the capacity-isolation
@@ -67,7 +15,8 @@ func TestDatastoreTableContent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick datastore run")
 	}
-	table, _, csvOut, _ := runDatastoreWith(t, 8)
+	out := runExperiment(t, "datastore", 8)
+	table, csvOut := out.table, out.csv
 	for _, want := range []string{
 		"YCSB-A", "YCSB-E", "YCSB-tpcc",
 		"per-tier attribution", "abort causes", "per-shard GIL occupancy",

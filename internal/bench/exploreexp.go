@@ -61,10 +61,6 @@ func (s *Session) buildExplore(p *plan) {
 	})
 }
 
-// ExploreTable regenerates the schedule-exploration experiment (see
-// buildExplore).
-func (s *Session) ExploreTable() error { return s.runPlan(s.buildExplore) }
-
 // ReplaySchedule loads a schedule file, replays it byte-deterministically,
 // and verifies it reproduces what it records (its violation, or a clean run
 // with the recorded fingerprint).

@@ -6,6 +6,7 @@ import (
 
 	"htmgil/internal/htm"
 	"htmgil/internal/vm"
+	"htmgil/internal/webrick"
 )
 
 // The hybrid experiment evaluates the three-tier elision pipeline: where
@@ -29,18 +30,17 @@ import (
 
 // hybridConfig pairs a swept runtime with its machine-profile tweak.
 type hybridConfig struct {
-	name    string
-	cfg     Config
+	Config
 	sandbox bool // htm.Profile.OCCSandbox: skip the seq-word subscription
 }
 
 func hybridConfigs() []hybridConfig {
 	return []hybridConfig{
-		{"GIL", Config{Name: "GIL", Mode: vm.ModeGIL}, false},
-		{"paper-dynamic", Config{Name: "paper-dynamic", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, false},
-		{"occ-adaptive", Config{Name: "occ-adaptive", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, false},
-		{"occ-adpt-sbx", Config{Name: "occ-adpt-sbx", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, true},
-		{"occ-first", Config{Name: "occ-first", Mode: vm.ModeHTM, Policy: "occ-first"}, false},
+		{Config{Name: "GIL", Mode: vm.ModeGIL}, false},
+		{Config{Name: "paper-dynamic", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, false},
+		{Config{Name: "occ-adaptive", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, false},
+		{Config{Name: "occ-adpt-sbx", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, true},
+		{Config{Name: "occ-first", Mode: vm.ModeHTM, Policy: "occ-first"}, false},
 	}
 }
 
@@ -81,6 +81,27 @@ func (s *Session) buildHybrid(p *plan) {
 	quick := s.Quick
 	class := classFor(quick)
 	cfgs := hybridConfigs()
+	cols := make([]string, len(cfgs))
+	for j, hc := range cfgs {
+		cols[j] = hc.Name
+	}
+	// attributions renders the per-tier table of the top row of a grid and
+	// the summary line; ratio is how many times better r did than the GIL.
+	attributions := func(unit string, maxRow int, top []*point, ratio func(gil, r *point) float64) {
+		hybridAttributionHeader(p)
+		at := map[string]*point{}
+		for j, hc := range cfgs {
+			r := top[j]
+			at[hc.Name] = r
+			p.cell(func(w io.Writer) error { return hybridAttribution(w, hc.Name, r.st) })
+		}
+		p.cell(func(w io.Writer) error {
+			gil := at["GIL"]
+			_, err := fmt.Fprintf(w, "# vs all-GIL at %d %s: occ-first %.2fx, occ-adaptive %.2fx, paper-dynamic %.2fx\n",
+				maxRow, unit, ratio(gil, at["occ-first"]), ratio(gil, at["occ-adaptive"]), ratio(gil, at["paper-dynamic"]))
+			return err
+		})
+	}
 	for _, base := range []func() *htm.Profile{htm.ZEC12, htm.XeonE3} {
 		prof := base()
 		ths := threadsFor(prof, quick)
@@ -88,45 +109,17 @@ func (s *Session) buildHybrid(p *plan) {
 		for _, bench := range policyKernels(quick) {
 			p.printf("\n# Hybrid TM — %s on %s (throughput, 1 = 1-thread GIL)\n", bench, prof.Name)
 			baseRun := p.kernel(fmt.Sprintf("hybrid baseline %s/%s", prof.Name, bench),
-				"hybrid", bench, prof, cfgs[0].cfg, 1, class, false)
-			p.printf("%-10s", "threads")
-			for _, hc := range cfgs {
-				p.printf("%16s", hc.name)
-			}
-			p.printf("\n")
-			top := map[string]*policyRun{}
-			for _, th := range ths {
-				p.printf("%-10d", th)
-				for _, hc := range cfgs {
-					r := p.policyKernel(fmt.Sprintf("hybrid %s/%s/%s/%d", prof.Name, bench, hc.name, th),
-						"hybrid", bench, hybridProfile(base, hc.sandbox), hc.cfg, th, class)
-					if th == maxTh {
-						top[hc.name] = r
-					}
-					p.cell(func(w io.Writer) error {
-						_, err := fmt.Fprintf(w, "%16.2f", float64(baseRun.res.Cycles)/float64(r.res.Cycles))
-						return err
-					})
-				}
-				p.printf("\n")
-			}
+				"hybrid", cfgs[0].Name, bench, cfgs[0].options(prof), 1, class, false)
+			m := p.grid("threads", 10, ths, cols, 16,
+				func(th, j int) *point {
+					hc := cfgs[j]
+					return p.kernel(fmt.Sprintf("hybrid %s/%s/%s/%d", prof.Name, bench, hc.Name, th),
+						"hybrid", hc.Name, bench, hc.options(hybridProfile(base, hc.sandbox)), th, class, true)
+				},
+				func(_ int, r *point) string { return speedup("%16.2f", baseRun, r) })
 			p.printf("\n# Hybrid per-tier attribution — %s on %s, %d threads\n", bench, prof.Name, maxTh)
-			hybridAttributionHeader(p)
-			for _, hc := range cfgs {
-				r := top[hc.name]
-				name := hc.name
-				p.cell(func(w io.Writer) error {
-					return hybridAttribution(w, name, r.res.Stats)
-				})
-			}
-			gilTop := top["GIL"]
-			p.cell(func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "# vs all-GIL at %d threads: occ-first %.2fx, occ-adaptive %.2fx, paper-dynamic %.2fx\n",
-					maxTh,
-					float64(gilTop.res.Cycles)/float64(top["occ-first"].res.Cycles),
-					float64(gilTop.res.Cycles)/float64(top["occ-adaptive"].res.Cycles),
-					float64(gilTop.res.Cycles)/float64(top["paper-dynamic"].res.Cycles))
-				return err
+			attributions("threads", maxTh, m[len(m)-1], func(gil, r *point) float64 {
+				return float64(gil.Cycles) / float64(r.Cycles)
 			})
 		}
 	}
@@ -138,51 +131,20 @@ func (s *Session) buildHybrid(p *plan) {
 		clientsList = []int{1, 4}
 	}
 	maxCl := clientsList[len(clientsList)-1]
+	wc := func(hc hybridConfig, clients int) webrick.Config {
+		return webrick.Config{Prof: hybridProfile(htm.ZEC12, hc.sandbox), Mode: hc.Mode, Policy: hc.Policy,
+			Clients: clients, Requests: requests, ZOSMalloc: true}
+	}
 	p.printf("\n# Hybrid TM — webrick on zEC12 (throughput, 1 = 1-client GIL)\n")
-	baseSrv := p.server("hybrid webrick baseline", "hybrid", "webrick", htm.ZEC12(), cfgs[0].cfg, 1, requests, true)
-	p.printf("%-10s", "clients")
-	for _, hc := range cfgs {
-		p.printf("%16s", hc.name)
-	}
-	p.printf("\n")
-	topSrv := map[string]*policyServerRun{}
-	for _, cl := range clientsList {
-		p.printf("%-10d", cl)
-		for _, hc := range cfgs {
-			r := p.policyServer(fmt.Sprintf("hybrid webrick/%s/%d", hc.name, cl),
-				"hybrid", hybridProfile(htm.ZEC12, hc.sandbox), hc.cfg, cl, requests, true)
-			if cl == maxCl {
-				topSrv[hc.name] = r
-			}
-			p.cell(func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "%16.2f", r.tp/baseSrv.tp)
-				return err
-			})
-		}
-		p.printf("\n")
-	}
+	baseSrv := p.server("hybrid webrick baseline", "hybrid", "webrick", cfgs[0].Name, wc(cfgs[0], 1), false)
+	m := p.grid("clients", 10, clientsList, cols, 16,
+		func(cl, j int) *point {
+			return p.server(fmt.Sprintf("hybrid webrick/%s/%d", cfgs[j].Name, cl),
+				"hybrid", "webrick", cfgs[j].Name, wc(cfgs[j], cl), true)
+		},
+		func(_ int, r *point) string { return fmt.Sprintf("%16.2f", r.Throughput/baseSrv.Throughput) })
 	p.printf("\n# Hybrid per-tier attribution — webrick on zEC12, %d clients\n", maxCl)
-	hybridAttributionHeader(p)
-	for _, hc := range cfgs {
-		r := topSrv[hc.name]
-		name := hc.name
-		p.cell(func(w io.Writer) error {
-			return hybridAttribution(w, name, r.st)
-		})
-	}
-	gilSrv := topSrv["GIL"]
-	p.cell(func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "# vs all-GIL at %d clients: occ-first %.2fx, occ-adaptive %.2fx, paper-dynamic %.2fx\n",
-			maxCl,
-			topSrv["occ-first"].tp/gilSrv.tp,
-			topSrv["occ-adaptive"].tp/gilSrv.tp,
-			topSrv["paper-dynamic"].tp/gilSrv.tp)
-		return err
+	attributions("clients", maxCl, m[len(m)-1], func(gil, r *point) float64 {
+		return r.Throughput / gil.Throughput
 	})
 }
-
-// HybridTable regenerates the hybrid-TM experiment (see buildHybrid).
-func (s *Session) HybridTable() error { return s.runPlan(s.buildHybrid) }
-
-// HybridTable regenerates the hybrid-TM experiment in a fresh Session.
-func HybridTable(w io.Writer, quick bool) error { return NewSession(w, quick).HybridTable() }

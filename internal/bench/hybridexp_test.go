@@ -17,20 +17,17 @@ func TestHybridConfigs(t *testing.T) {
 	}
 	byName := map[string]hybridConfig{}
 	for _, c := range cfgs {
-		if c.cfg.Name != c.name {
-			t.Errorf("%s: config name %q disagrees", c.name, c.cfg.Name)
-		}
-		byName[c.name] = c
+		byName[c.Name] = c
 	}
-	if byName["GIL"].cfg.Mode != vm.ModeGIL {
-		t.Errorf("GIL config mode = %v", byName["GIL"].cfg.Mode)
+	if byName["GIL"].Mode != vm.ModeGIL {
+		t.Errorf("GIL config mode = %v", byName["GIL"].Mode)
 	}
 	for _, name := range []string{"paper-dynamic", "occ-adaptive", "occ-adpt-sbx", "occ-first"} {
-		if byName[name].cfg.Mode != vm.ModeHTM {
-			t.Errorf("%s: mode = %v, want HTM", name, byName[name].cfg.Mode)
+		if byName[name].Mode != vm.ModeHTM {
+			t.Errorf("%s: mode = %v, want HTM", name, byName[name].Mode)
 		}
 	}
-	if byName["occ-adpt-sbx"].cfg.Policy != "occ-adaptive" || !byName["occ-adpt-sbx"].sandbox {
+	if byName["occ-adpt-sbx"].Policy != "occ-adaptive" || !byName["occ-adpt-sbx"].sandbox {
 		t.Errorf("occ-adpt-sbx must be occ-adaptive with the sandbox on")
 	}
 	if byName["occ-adaptive"].sandbox || byName["occ-first"].sandbox {

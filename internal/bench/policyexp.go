@@ -32,73 +32,6 @@ func PolicyConfigs() []Config {
 	return out
 }
 
-// policyRun is the handle to a policy-experiment kernel point: the kernel
-// result plus the always-attached aggregator for fallback attribution.
-type policyRun struct {
-	res *npb.Result
-	agg *trace.Aggregator
-}
-
-// policyKernel enumerates one NPB point of the policy or hybrid
-// experiment. It differs from plan.kernel in always attaching a trace
-// aggregator, so the attribution tables work without the Session's
-// TraceSummary switch.
-func (p *plan) policyKernel(label, exp string, b npb.Bench, prof *htm.Profile, cfg Config, threads int, c npb.Class) *policyRun {
-	pr := &policyRun{}
-	pt := &point{label: label}
-	s := p.s
-	pt.exec = func() error {
-		agg := trace.NewAggregator()
-		opt := vm.DefaultOptions(prof, cfg.Mode)
-		opt.TxLength = cfg.TxLength
-		opt.Policy = cfg.Policy
-		opt.Trace = trace.NewRecorder(agg)
-		r, err := npb.Run(b, opt, threads, npb.ParamsFor(b, c))
-		if err != nil {
-			return err
-		}
-		if !r.Valid {
-			return errValidation
-		}
-		pr.res, pr.agg = r, agg
-		pt.rep = newReport(exp, prof.Name, string(b), cfg.Name, threads, 0, r.Cycles, 0, r.Stats, agg, s.topN())
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return pr
-}
-
-// policyServerRun is the handle to a policy-experiment WEBrick point.
-type policyServerRun struct {
-	tp, ab float64
-	st     *vm.Stats
-	agg    *trace.Aggregator
-}
-
-// policyServer enumerates one WEBrick point of the policy or hybrid
-// experiment.
-func (p *plan) policyServer(label, exp string, prof *htm.Profile, cfg Config, clients, requests int, zos bool) *policyServerRun {
-	pr := &policyServerRun{}
-	pt := &point{label: label}
-	s := p.s
-	pt.exec = func() error {
-		agg := trace.NewAggregator()
-		r, err := webrick.Run(webrick.Config{Prof: prof, Mode: cfg.Mode, TxLength: cfg.TxLength,
-			Policy: cfg.Policy, Clients: clients, Requests: requests, ZOSMalloc: zos,
-			Trace: trace.NewRecorder(agg)})
-		if err != nil {
-			return err
-		}
-		pr.tp, pr.ab, pr.st, pr.agg = r.Throughput, r.AbortRatio, r.Stats, agg
-		pt.rep = newReport(exp, prof.Name, "webrick", cfg.Name, 0, clients, r.Cycles, r.Throughput, r.Stats, agg, s.topN())
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return pr
-}
-
 // attribution renders one per-policy attribution line: abort ratio,
 // fallback and adjustment counts, then the sorted abort causes and the
 // sorted GIL-fallback reasons observed by the trace aggregator.
@@ -158,44 +91,29 @@ func policyKernels(quick bool) []npb.Bench {
 func (s *Session) buildPolicy(p *plan) {
 	quick := s.Quick
 	class := classFor(quick)
-	pols := PolicyConfigs()
+	gil, pols := Configs()[0], PolicyConfigs()
+	attributions := func(top []*point) {
+		p.printf("%-18s%10s%12s%12s  %s\n", "policy", "abort%", "fallbacks", "adjusts", "causes | fallback reasons")
+		for j, pc := range pols {
+			r := top[j]
+			p.cell(func(w io.Writer) error { return attribution(w, pc.Name, r.st, r.agg) })
+		}
+	}
 	for _, prof := range []*htm.Profile{htm.ZEC12(), htm.XeonE3()} {
 		ths := threadsFor(prof, quick)
 		maxTh := ths[len(ths)-1]
 		for _, bench := range policyKernels(quick) {
 			p.printf("\n# Policy comparison — %s on %s (throughput, 1 = 1-thread GIL)\n", bench, prof.Name)
 			base := p.kernel(fmt.Sprintf("policy baseline %s", bench),
-				"policy", bench, prof, Configs()[0], 1, class, false)
-			p.printf("%-10s", "threads")
-			for _, pc := range pols {
-				p.printf("%18s", pc.Name)
-			}
-			p.printf("\n")
-			top := map[string]*policyRun{}
-			for _, th := range ths {
-				p.printf("%-10d", th)
-				for _, pc := range pols {
-					r := p.policyKernel(fmt.Sprintf("policy %s/%s/%d", bench, pc.Name, th),
-						"policy", bench, prof, pc, th, class)
-					if th == maxTh {
-						top[pc.Name] = r
-					}
-					p.cell(func(w io.Writer) error {
-						_, err := fmt.Fprintf(w, "%18.2f", float64(base.res.Cycles)/float64(r.res.Cycles))
-						return err
-					})
-				}
-				p.printf("\n")
-			}
+				"policy", gil.Name, bench, gil.options(prof), 1, class, false)
+			m := p.grid("threads", 10, ths, names(pols), 18,
+				func(th, j int) *point {
+					return p.kernel(fmt.Sprintf("policy %s/%s/%d", bench, pols[j].Name, th),
+						"policy", pols[j].Name, bench, pols[j].options(prof), th, class, true)
+				},
+				func(_ int, r *point) string { return speedup("%18.2f", base, r) })
 			p.printf("\n# Policy abort attribution — %s on %s, %d threads\n", bench, prof.Name, maxTh)
-			p.printf("%-18s%10s%12s%12s  %s\n", "policy", "abort%", "fallbacks", "adjusts", "causes | fallback reasons")
-			for _, pc := range pols {
-				r := top[pc.Name]
-				name := pc.Name
-				p.cell(func(w io.Writer) error {
-					return attribution(w, name, r.res.Stats, r.agg)
-				})
-			}
+			attributions(m[len(m)-1])
 		}
 	}
 	// WEBrick: the server workload the paper used on both machines. Requests
@@ -212,44 +130,20 @@ func (s *Session) buildPolicy(p *plan) {
 	}{{htm.ZEC12(), true}, {htm.XeonE3(), false}} {
 		prof := a.prof
 		maxCl := clientsList[len(clientsList)-1]
+		wc := func(cfg Config, clients int) webrick.Config {
+			return webrick.Config{Prof: prof, Mode: cfg.Mode, Policy: cfg.Policy,
+				Clients: clients, Requests: requests, ZOSMalloc: a.zos}
+		}
 		p.printf("\n# Policy comparison — webrick on %s (throughput, 1 = 1-client GIL)\n", prof.Name)
 		base := p.server(fmt.Sprintf("policy webrick baseline %s", prof.Name),
-			"policy", "webrick", prof, Configs()[0], 1, requests, a.zos)
-		p.printf("%-10s", "clients")
-		for _, pc := range pols {
-			p.printf("%18s", pc.Name)
-		}
-		p.printf("\n")
-		top := map[string]*policyServerRun{}
-		for _, cl := range clientsList {
-			p.printf("%-10d", cl)
-			for _, pc := range pols {
-				r := p.policyServer(fmt.Sprintf("policy webrick/%s/%s/%d", prof.Name, pc.Name, cl),
-					"policy", prof, pc, cl, requests, a.zos)
-				if cl == maxCl {
-					top[pc.Name] = r
-				}
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%18.2f", r.tp/base.tp)
-					return err
-				})
-			}
-			p.printf("\n")
-		}
+			"policy", "webrick", gil.Name, wc(gil, 1), false)
+		m := p.grid("clients", 10, clientsList, names(pols), 18,
+			func(cl, j int) *point {
+				return p.server(fmt.Sprintf("policy webrick/%s/%s/%d", prof.Name, pols[j].Name, cl),
+					"policy", "webrick", pols[j].Name, wc(pols[j], cl), true)
+			},
+			func(_ int, r *point) string { return fmt.Sprintf("%18.2f", r.Throughput/base.Throughput) })
 		p.printf("\n# Policy abort attribution — webrick on %s, %d clients\n", prof.Name, maxCl)
-		p.printf("%-18s%10s%12s%12s  %s\n", "policy", "abort%", "fallbacks", "adjusts", "causes | fallback reasons")
-		for _, pc := range pols {
-			r := top[pc.Name]
-			name := pc.Name
-			p.cell(func(w io.Writer) error {
-				return attribution(w, name, r.st, r.agg)
-			})
-		}
+		attributions(m[len(m)-1])
 	}
 }
-
-// PolicyTable regenerates the policy-comparison experiment (see buildPolicy).
-func (s *Session) PolicyTable() error { return s.runPlan(s.buildPolicy) }
-
-// PolicyTable regenerates the policy comparison in a fresh Session.
-func PolicyTable(w io.Writer, quick bool) error { return NewSession(w, quick).PolicyTable() }

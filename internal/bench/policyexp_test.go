@@ -21,7 +21,7 @@ func TestPolicyConfigsMirrorRegistry(t *testing.T) {
 		if cfgs[i].Name != n || cfgs[i].Policy != n {
 			t.Fatalf("config %d = %+v, want name/policy %q", i, cfgs[i], n)
 		}
-		if cfgs[i].Mode != vm.ModeHTM || cfgs[i].TxLength != 0 {
+		if cfgs[i].Mode != vm.ModeHTM {
 			t.Fatalf("config %d not plain HTM: %+v", i, cfgs[i])
 		}
 	}
@@ -41,7 +41,7 @@ func TestExperimentsListsPolicy(t *testing.T) {
 	if !found {
 		t.Fatalf("policy missing from %v", exps)
 	}
-	if err := ByName("nosuch", nil, true); err == nil ||
+	if err := NewSession(nil, true).Run("nosuch"); err == nil ||
 		!strings.Contains(err.Error(), "policy") {
 		t.Fatalf("unknown-experiment error should list policy: %v", err)
 	}
@@ -55,25 +55,18 @@ func TestPolicyPaperDynamicMatchesFig5HTMDynamic(t *testing.T) {
 	s := NewSession(nil, true)
 	p := s.newPlan()
 	prof := htm.ZEC12()
-	fig5 := p.kernel("fig5 point", "fig5", npb.CG, prof, Configs()[4], 4, npb.ClassS, true)
-	pol := p.policyKernel("policy point", "policy", npb.CG, prof,
-		Config{Name: "paper-dynamic", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 4, npb.ClassS)
+	dyn := Configs()[4]
+	fig5 := p.kernel("fig5 point", "fig5", dyn.Name, npb.CG, dyn.options(prof), 4, npb.ClassS, false)
+	pd := Config{Name: "paper-dynamic", Mode: vm.ModeHTM, Policy: "paper-dynamic"}
+	pol := p.kernel("policy point", "policy", pd.Name, npb.CG, pd.options(prof), 4, npb.ClassS, true)
 	if err := p.flush(); err != nil {
 		t.Fatal(err)
 	}
-	a, b := fig5.res, pol.res
-	if a.Cycles != b.Cycles || a.Checksum != b.Checksum || a.Valid != b.Valid {
-		t.Fatalf("diverged: fig5 cycles=%d sum=%s, policy cycles=%d sum=%s",
-			a.Cycles, a.Checksum, b.Cycles, b.Checksum)
+	if fig5.Cycles != pol.Cycles {
+		t.Fatalf("diverged: fig5 cycles=%d, policy cycles=%d", fig5.Cycles, pol.Cycles)
 	}
-	as, bs := a.Stats, b.Stats
-	if as.HTM.Begins != bs.HTM.Begins || as.HTM.Commits != bs.HTM.Commits ||
-		as.HTM.Aborts != bs.HTM.Aborts || as.GILFallbacks != bs.GILFallbacks ||
-		as.Adjustments != bs.Adjustments {
-		t.Fatalf("stats diverged: fig5 %+v, policy %+v", as.HTM, bs.HTM)
-	}
-	if !reflect.DeepEqual(as.AbortCauses, bs.AbortCauses) {
-		t.Fatalf("abort causes diverged: %v vs %v", as.AbortCauses, bs.AbortCauses)
+	if !reflect.DeepEqual(fig5.st, pol.st) {
+		t.Fatalf("stats diverged: fig5 %+v, policy %+v", fig5.st, pol.st)
 	}
 	if pol.agg == nil {
 		t.Fatal("policy point must carry an aggregator")
@@ -83,8 +76,8 @@ func TestPolicyPaperDynamicMatchesFig5HTMDynamic(t *testing.T) {
 func TestWriteReportsCSV(t *testing.T) {
 	s := NewSession(nil, true)
 	p := s.newPlan()
-	p.policyKernel("pt", "policy", npb.CG, htm.ZEC12(),
-		Config{Name: "fixed-16", Mode: vm.ModeHTM, Policy: "fixed-16"}, 2, npb.ClassS)
+	cfg := Config{Name: "fixed-16", Mode: vm.ModeHTM, Policy: "fixed-16"}
+	p.kernel("pt", "policy", cfg.Name, npb.CG, cfg.options(htm.ZEC12()), 2, npb.ClassS, true)
 	if err := p.flush(); err != nil {
 		t.Fatal(err)
 	}

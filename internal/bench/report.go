@@ -107,10 +107,13 @@ type RouteLatency struct {
 	LatencySummary
 }
 
+// topN bounds the abort-PC rankings kept per report.
+const topN = 5
+
 // newReport builds a Report from a run's Stats plus, optionally, the
 // trace aggregator that observed the run.
 func newReport(exp, machine, workload, config string, threads, clients int,
-	cycles int64, throughput float64, st *vm.Stats, agg *trace.Aggregator, topN int) Report {
+	cycles int64, throughput float64, st *vm.Stats, agg *trace.Aggregator) Report {
 	r := Report{
 		Experiment: exp,
 		Machine:    machine,

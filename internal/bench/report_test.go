@@ -11,14 +11,14 @@ import (
 
 // runKernelPoint runs one kernel configuration point through the plan
 // machinery, as the experiments do, and returns its result.
-func runKernelPoint(t *testing.T, s *Session, exp string, b npb.Bench, prof *htm.Profile, cfg Config, threads int, c npb.Class) *npb.Result {
+func runKernelPoint(t *testing.T, s *Session, exp string, b npb.Bench, prof *htm.Profile, cfg Config, threads int, c npb.Class) *point {
 	t.Helper()
 	p := s.newPlan()
-	kr := p.kernel("test point", exp, b, prof, cfg, threads, c, false)
+	r := p.kernel("test point", exp, cfg.Name, b, cfg.options(prof), threads, c, false)
 	if err := p.flush(); err != nil {
 		t.Fatal(err)
 	}
-	return kr.res
+	return r
 }
 
 // TestSessionReports runs one small kernel point per configuration and
@@ -63,9 +63,9 @@ func TestSessionTraceSummary(t *testing.T) {
 	rep := s.Reports[len(s.Reports)-1]
 	// The aggregator watched the same run that produced Stats; the counts
 	// must agree exactly.
-	if rep.Begins != r.Stats.HTM.Begins || rep.Aborts != r.Stats.HTM.Aborts {
+	if rep.Begins != r.st.HTM.Begins || rep.Aborts != r.st.HTM.Aborts {
 		t.Fatalf("report %d/%d vs stats %d/%d",
-			rep.Begins, rep.Aborts, r.Stats.HTM.Begins, r.Stats.HTM.Aborts)
+			rep.Begins, rep.Aborts, r.st.HTM.Begins, r.st.HTM.Aborts)
 	}
 	if rep.Aborts > 0 && len(rep.TopAbortPCs) == 0 {
 		t.Fatalf("aborts happened but no PC attribution: %+v", rep)

@@ -8,7 +8,6 @@ import (
 	"htmgil/internal/fault"
 	"htmgil/internal/htm"
 	"htmgil/internal/netsim"
-	"htmgil/internal/railslite"
 	"htmgil/internal/vm"
 	"htmgil/internal/webrick"
 )
@@ -104,27 +103,16 @@ func servingScenarios(quick bool, horizon int64) []servingScenario {
 	return out
 }
 
-// servingRun is the handle to one serving point.
-type servingRun struct {
-	gen     *netsim.OpenLoadGen
-	ab      float64
-	cycles  int64
-	st      *vm.Stats
-	agg     LatencySummary
-	routes  []RouteLatency
-	recover *int64
-}
-
-// servingDigest pools the per-route samples into the aggregate summary
+// latencyDigest pools the per-route samples into the aggregate summary
 // (attainment judged against each route's own SLO) and the per-route table.
 // Requests that never completed — shed by admission control, given up after
 // exhausting retries, or cancelled past their deadline — are SLO misses:
 // they fold into attainment without contributing latency samples.
-func servingDigest(g *netsim.OpenLoadGen, routes []netsim.OpenRoute) (LatencySummary, []RouteLatency) {
+func latencyDigest(g *netsim.OpenLoadGen) (LatencySummary, []RouteLatency) {
 	var all []int64
 	met, judged := 0, 0
-	per := make([]RouteLatency, 0, len(routes))
-	for i, r := range routes {
+	per := make([]RouteLatency, 0, len(g.Routes))
+	for i, r := range g.Routes {
 		rs := Summarize(g.Samples[i], r.SLOCycles).WithFailures(g.FailedByRoute[i])
 		per = append(per, RouteLatency{Route: r.Name, LatencySummary: rs})
 		all = append(all, g.Samples[i]...)
@@ -140,113 +128,30 @@ func servingDigest(g *netsim.OpenLoadGen, routes []netsim.OpenRoute) (LatencySum
 	return agg, per
 }
 
-// servingPoint enumerates one point of the serving sweep.
-func (p *plan) servingPoint(label string, prof *htm.Profile, app servingApp, sc servingScenario,
-	seed int64, sessions int, horizon int64) *servingRun {
-	sr := &servingRun{}
-	pt := &point{label: label}
-	s := p.s
-	rate := app.baseRate * sc.loadMult
-	pt.exec = func() error {
-		var spec *fault.Spec
-		if sc.faults != "" {
-			var err error
-			if spec, err = fault.ParseSpec(sc.faults); err != nil {
-				return err
-			}
-		}
-		agg, rec := s.attach()
-		gen := &netsim.OpenLoadGen{
-			Seed: seed,
-			Arrivals: netsim.ArrivalOpts{
-				Kind:       sc.kind,
-				RatePerSec: rate,
-				Horizon:    horizon,
-			},
-			Routes:       app.routes,
-			Sessions:     sessions,
-			SlowFraction: sc.slowFrac,
-			SlowStall:    sc.slowStall,
-		}
-		var (
-			cycles int64
-			ab     float64
-			st     *vm.Stats
-		)
-		switch app.name {
-		case "webrick":
-			r, err := webrick.Run(webrick.Config{Prof: prof, Mode: vm.ModeHTM, Policy: sc.policy,
-				Workers: app.workers, Open: gen, Trace: rec,
-				Faults: spec, Breaker: spec != nil, Watchdog: spec != nil})
-			if err != nil {
-				return err
-			}
-			cycles, ab, st = r.Cycles, r.AbortRatio, r.Stats
-		default:
-			r, err := railslite.Run(railslite.Config{Prof: prof, Mode: vm.ModeHTM, Policy: sc.policy,
-				Workers: app.workers, Open: gen, Trace: rec,
-				Faults: spec, Breaker: spec != nil, Watchdog: spec != nil})
-			if err != nil {
-				return err
-			}
-			cycles, ab, st = r.Cycles, r.AbortRatio, r.Stats
-		}
-		sr.gen, sr.ab, sr.cycles, sr.st = gen, ab, cycles, st
-		sr.agg, sr.routes = servingDigest(gen, app.routes)
-		if spec != nil {
-			sr.recover = timeToRecover(st, spec)
-		}
-
-		rep := newReport("serving", prof.Name, app.name, sc.name,
-			app.workers, sessions, cycles, gen.Throughput(), st, agg, s.topN())
-		rep.Cores = prof.Cores
-		rep.Workers = app.workers
-		rep.Sessions = sessions
-		rep.RatePerSec = rate
-		rep.Arrivals = gen.Generated
-		rep.ConnsTotal = gen.ConnsTotal
-		rep.ConnsPeak = gen.ConnsPeak
-		rep.Shed = gen.Shed
-		rep.GaveUp = gen.GaveUp
-		rep.DeadlineExceeded = gen.DeadlineExceeded
-		lat := sr.agg
-		rep.Latency = &lat
-		rep.RouteLatency = sr.routes
-		if spec != nil {
-			rep.FaultSpec = spec.String()
-			rep.Seed = chaosSeed(spec, prof)
-			rep.RecoverCycles = sr.recover
-		}
-		pt.rep = rep
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return sr
-}
-
 const servingHeader = "%-12s%8s%8s%8s%9s%8s%8s%8s%9s%8s%8s%7s%10s\n"
 
 // servingRow renders one scenario row; latencies in milliseconds. The gaveup
 // column counts requests abandoned after exhausting their retry attempts (a
 // distinct outcome from completions — they are SLO misses, not lost rows).
-func servingRow(w io.Writer, name string, rate float64, r *servingRun) error {
+func servingRow(w io.Writer, name string, r *point) error {
 	rec := "-"
-	if r.recover != nil {
-		rec = strconv.FormatInt(*r.recover, 10)
+	if r.RecoverCycles != nil {
+		rec = strconv.FormatInt(*r.RecoverCycles, 10)
 	}
-	ms := func(c int64) float64 { return float64(c) / cyclesPerMs }
+	lat := r.Latency
 	_, err := fmt.Fprintf(w, "%-12s%8.0f%8d%8d%9.1f%8.1f%8.1f%8.1f%9.1f%7.1f%%%7.1f%%%7d%10s\n",
-		name, rate, r.gen.Generated, r.gen.GaveUp, r.gen.Throughput(),
-		ms(r.agg.P50), ms(r.agg.P99), ms(r.agg.P999), ms(r.agg.Max),
-		r.agg.Attainment*100, r.ab*100, r.gen.ConnsPeak, rec)
+		name, r.RatePerSec, r.Arrivals, r.GaveUp, r.Throughput,
+		ms(lat.P50), ms(lat.P99), ms(lat.P999), ms(lat.Max),
+		lat.Attainment*100, r.AbortRatio*100, r.ConnsPeak, rec)
 	return err
 }
 
+// ms converts virtual cycles to milliseconds.
+func ms(c int64) float64 { return float64(c) / cyclesPerMs }
+
 // servingRoutesRow renders the per-route latency digest of one point.
-func servingRoutesRow(w io.Writer, app string, r *servingRun) error {
-	ms := func(c int64) float64 { return float64(c) / cyclesPerMs }
-	for _, rl := range r.routes {
+func servingRoutesRow(w io.Writer, app string, r *point) error {
+	for _, rl := range r.RouteLatency {
 		if _, err := fmt.Fprintf(w, "%-10s%-10s%8d%8.1f%8.1f%8.1f%9.1f%7.1f%%\n",
 			app, rl.Route, rl.Count, ms(rl.P50), ms(rl.P99), ms(rl.P999), ms(rl.Max),
 			rl.Attainment*100); err != nil {
@@ -270,21 +175,40 @@ func (s *Session) buildServing(p *plan) {
 	}
 	scs := servingScenarios(quick, horizon)
 	prof := htm.Server(128)
+	run := func(label string, prof *htm.Profile, app servingApp, sc servingScenario, seed int64) *point {
+		var spec *fault.Spec
+		if sc.faults != "" {
+			spec = mustSpec(sc.faults)
+		}
+		return p.openServer(label, "serving", app.name, sc.name,
+			webrick.Config{Prof: prof, Mode: vm.ModeHTM, Policy: sc.policy, Workers: app.workers,
+				Faults: spec, Breaker: spec != nil, Watchdog: spec != nil},
+			netsim.OpenLoadGen{
+				Seed: seed,
+				Arrivals: netsim.ArrivalOpts{
+					Kind:       sc.kind,
+					RatePerSec: app.baseRate * sc.loadMult,
+					Horizon:    horizon,
+				},
+				Routes:       app.routes,
+				Sessions:     sessions,
+				SlowFraction: sc.slowFrac,
+				SlowStall:    sc.slowStall,
+			}, 0)
+	}
 
-	steady := make(map[string]*servingRun)
+	steady := make(map[string]*point)
 	for _, app := range servingApps() {
 		p.printf("\n# Serving — %s pool on %s, %d workers, %d sessions, horizon %dM cycles (open-loop)\n",
 			app.name, prof.Name, app.workers, sessions, horizon/1_000_000)
 		p.printf(servingHeader, "scenario", "rate", "gen", "gaveup", "tput",
 			"p50ms", "p99ms", "p999ms", "maxms", "slo", "abort", "peak", "recover")
 		for i, sc := range scs {
-			r := p.servingPoint(fmt.Sprintf("serving %s/%s/%s", app.name, prof.Name, sc.name),
-				prof, app, sc, int64(7+i), sessions, horizon)
+			r := run(fmt.Sprintf("serving %s/%s/%s", app.name, prof.Name, sc.name), prof, app, sc, int64(7+i))
 			if sc.name == "steady" {
 				steady[app.name] = r
 			}
-			name, rate := sc.name, app.baseRate*sc.loadMult
-			p.cell(func(w io.Writer) error { return servingRow(w, name, rate, r) })
+			p.cell(func(w io.Writer) error { return servingRow(w, sc.name, r) })
 		}
 	}
 
@@ -306,10 +230,9 @@ func (s *Session) buildServing(p *plan) {
 		for _, w := range pools {
 			a := app
 			a.workers = w
-			r := p.servingPoint(fmt.Sprintf("serving %s/%s/steady-%dw", app.name, big.Name, w),
-				big, a, sc, 7, sessions, horizon)
-			name, rate := strconv.Itoa(w), app.baseRate*sc.loadMult
-			p.cell(func(w io.Writer) error { return servingRow(w, name, rate, r) })
+			r := run(fmt.Sprintf("serving %s/%s/steady-%dw", app.name, big.Name, w), big, a, sc, 7)
+			name := strconv.Itoa(w)
+			p.cell(func(w io.Writer) error { return servingRow(w, name, r) })
 		}
 	}
 
@@ -322,9 +245,3 @@ func (s *Session) buildServing(p *plan) {
 		p.cell(func(w io.Writer) error { return servingRoutesRow(w, name, r) })
 	}
 }
-
-// ServingTable regenerates the serving experiment (see buildServing).
-func (s *Session) ServingTable() error { return s.runPlan(s.buildServing) }
-
-// ServingTable regenerates the serving experiment in a fresh Session.
-func ServingTable(w io.Writer, quick bool) error { return NewSession(w, quick).ServingTable() }

@@ -256,18 +256,3 @@ func (b *Breaker) transition(now int64, s BreakerState) {
 		b.Tracer.Emit(ev)
 	}
 }
-
-// RecoverAt returns the time of the last transition to closed after a trip,
-// or -1 when the breaker never tripped or never recovered. Used by the
-// chaos benchmark to compute time-to-recover.
-func (b *Breaker) RecoverAt() int64 {
-	if b == nil || b.Opens == 0 {
-		return -1
-	}
-	for i := len(b.Transitions) - 1; i >= 0; i-- {
-		if b.Transitions[i].State == "closed" {
-			return b.Transitions[i].T
-		}
-	}
-	return -1
-}

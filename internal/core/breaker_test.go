@@ -168,17 +168,17 @@ func TestHalfOpenReopensOnStorm(t *testing.T) {
 }
 
 // TestBreakerTransitionsAndRecoverAt: the transition history records the
-// full open -> half-open -> closed sequence and RecoverAt reports the final
-// close time.
+// full open -> half-open -> closed sequence, and its last entry is the
+// final close time that time-to-recover is measured against.
 func TestBreakerTransitionsAndRecoverAt(t *testing.T) {
 	b := NewBreaker(tcfg())
-	if b.RecoverAt() != -1 {
-		t.Fatalf("untripped breaker has a recovery time")
+	if len(b.Transitions) != 0 {
+		t.Fatalf("untripped breaker has transitions: %+v", b.Transitions)
 	}
 	trip(b, 500)
 	b.Allow(500 + b.Cfg.CooldownCycles)
-	if b.RecoverAt() != -1 {
-		t.Fatalf("unclosed breaker has a recovery time")
+	if last := b.Transitions[len(b.Transitions)-1]; last.State == "closed" {
+		t.Fatalf("unclosed breaker recorded a close: %+v", b.Transitions)
 	}
 	for i := 0; i < b.Cfg.ProbeTarget; i++ {
 		b.RecordCommit(int64(4000 + i))
@@ -195,8 +195,8 @@ func TestBreakerTransitionsAndRecoverAt(t *testing.T) {
 	if b.Transitions[0].T != 500 {
 		t.Fatalf("open recorded at %d, want 500", b.Transitions[0].T)
 	}
-	if got := b.RecoverAt(); got != int64(4000+b.Cfg.ProbeTarget-1) {
-		t.Fatalf("RecoverAt = %d", got)
+	if got := b.Transitions[2].T; got != int64(4000+b.Cfg.ProbeTarget-1) {
+		t.Fatalf("closed recorded at %d", got)
 	}
 }
 
@@ -225,7 +225,7 @@ func TestNilBreakerSafe(t *testing.T) {
 	}
 	b.RecordFallback(0)
 	b.RecordCommit(0)
-	if b.State() != BreakerClosed || b.RecoverAt() != -1 {
+	if b.State() != BreakerClosed {
 		t.Fatalf("nil breaker has state")
 	}
 }

@@ -251,13 +251,3 @@ func New(name string, prof *htm.Profile) (Policy, error) {
 	sort.Strings(known)
 	return nil, fmt.Errorf("policy: unknown policy %q (known: %s)", name, strings.Join(known, " "))
 }
-
-// FromOptions resolves the policy for a VM configuration: an explicit name
-// wins; otherwise a positive fixed transaction length selects fixed-N and
-// zero selects paper-dynamic (the historical TxLength semantics).
-func FromOptions(name string, prof *htm.Profile, txLength int32) (Policy, error) {
-	if name == "" && txLength > 0 {
-		return NewFixedLength(DefaultParams(prof), txLength), nil
-	}
-	return New(name, prof)
-}

@@ -107,14 +107,6 @@ func TestRegistryDefaultsAndFixedN(t *testing.T) {
 	if _, err := New("fixed-0", prof); err == nil {
 		t.Fatalf("fixed-0 accepted")
 	}
-	p, err = FromOptions("", prof, 16)
-	if err != nil || p.Name() != "fixed-16" {
-		t.Fatalf("FromOptions TxLength=16 -> %v, %v", p, err)
-	}
-	p, err = FromOptions("backoff", prof, 16)
-	if err != nil || p.Name() != "backoff" {
-		t.Fatalf("FromOptions name wins -> %v, %v", p, err)
-	}
 }
 
 // beginElided runs OnBegin with enough live threads to elide and returns

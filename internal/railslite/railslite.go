@@ -149,8 +149,7 @@ const Request = "GET /books HTTP/1.1\r\nHost: sim.example\r\nUser-Agent: loadgen
 type Config struct {
 	Prof       *htm.Profile
 	Mode       vm.Mode
-	TxLength   int32
-	Policy     string // contention policy name ("" = TxLength semantics)
+	Policy     string // contention policy name ("" = paper-dynamic)
 	Clients    int
 	Requests   int
 	GlobalLock bool // Rails' compatibility lock (paper: disabled)
@@ -195,7 +194,6 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Requests = 200
 	}
 	opt := vm.DefaultOptions(cfg.Prof, cfg.Mode)
-	opt.TxLength = cfg.TxLength
 	opt.Policy = cfg.Policy
 	opt.Trace = cfg.Trace
 	opt.Faults = cfg.Faults

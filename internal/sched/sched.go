@@ -10,15 +10,11 @@ package sched
 import (
 	"container/heap"
 	"fmt"
-	"os"
 	"sort"
 
 	"htmgil/internal/choice"
 	"htmgil/internal/trace"
 )
-
-// DebugSched enables loop tracing (tests only).
-var DebugSched = false
 
 // Status is the scheduling state a step leaves its thread in.
 type Status uint8
@@ -529,16 +525,7 @@ func (e *Engine) Run() error {
 	if e.Chooser != nil {
 		return e.runExplore()
 	}
-	dbgCount := 0
 	for !e.stopped {
-		if DebugSched && dbgCount < 30 {
-			dbgCount++
-			peekAt := int64(-1)
-			if len(e.timed) > 0 {
-				peekAt = e.timed.peek().at
-			}
-			fmt.Fprintf(os.Stderr, "sched: loop live=%d running=%d timed=%d peek=%d\n", e.live, len(e.run.th), len(e.timed), peekAt)
-		}
 		if e.live == 0 {
 			// Every thread finished; pending timed events (timers,
 			// watchdogs) must not advance the clock past the makespan.

@@ -70,15 +70,12 @@ type Options struct {
 	Mode Mode
 	Prof *htm.Profile
 
-	// TxLength: 0 selects the paper's dynamic per-yield-point adjustment;
-	// a positive value runs fixed-length transactions (HTM-1/16/256).
-	TxLength int32
-
 	// Policy selects the contention-management policy by its
-	// internal/policy registry name (ModeHTM only). Empty keeps the
-	// historical TxLength semantics: fixed-N when TxLength > 0,
-	// paper-dynamic otherwise. New panics on an unknown name; callers
-	// taking user input should validate with policy.New first.
+	// internal/policy registry name (ModeHTM only). Empty selects
+	// paper-dynamic, the paper's per-yield-point length adjustment;
+	// "fixed-N" runs fixed-length transactions (the paper's HTM-1/16/256).
+	// New panics on an unknown name; callers taking user input should
+	// validate with policy.New first.
 	Policy string
 
 	// ExtendedYieldPoints enables the paper's additional yield points
@@ -156,7 +153,6 @@ func DefaultOptions(prof *htm.Profile, mode Mode) Options {
 	return Options{
 		Mode:                 mode,
 		Prof:                 prof,
-		TxLength:             0,
 		ExtendedYieldPoints:  true,
 		GlobalVarsToTLS:      true,
 		ThreadLocalFreeLists: true,
@@ -304,7 +300,7 @@ func New(opt Options) *VM {
 		v.ctxPool = append(v.ctxPool, maxContexts-1-i) // pop from the end: 0 first
 	}
 
-	pol, err := policy.FromOptions(opt.Policy, opt.Prof, opt.TxLength)
+	pol, err := policy.New(opt.Policy, opt.Prof)
 	if err != nil {
 		panic(err.Error())
 	}

@@ -225,8 +225,7 @@ type Result struct {
 type Config struct {
 	Prof     *htm.Profile
 	Mode     vm.Mode
-	TxLength int32  // 0 = dynamic
-	Policy   string // contention policy name ("" = TxLength semantics)
+	Policy   string // contention policy name ("" = paper-dynamic)
 	Clients  int
 	Requests int // total requests to serve
 	// ZOSMalloc models z/OS malloc: arena operations on global state even
@@ -266,7 +265,6 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Requests = 300
 	}
 	opt := vm.DefaultOptions(cfg.Prof, cfg.Mode)
-	opt.TxLength = cfg.TxLength
 	opt.Policy = cfg.Policy
 	opt.Trace = cfg.Trace
 	opt.Faults = cfg.Faults
